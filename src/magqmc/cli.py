@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, config_hash, parse_config_text, render_config
-from .hf import SCFError
+from .hf import BasisError, SCFError
 from .iofiles import export_trace
 from .kernels import KernelAccuracyError
 from .units import hartree_to_kev
@@ -101,6 +101,10 @@ def cmd_run(args) -> int:
         result = run_pipeline(cfg, resume=args.resume, stages=stages)
     except SCFError as exc:
         print("SCF failed:", exc, file=sys.stderr)
+        return EXIT_SOLVER
+    except (KernelAccuracyError, BasisError) as exc:
+        # solver failures, caught before the RuntimeError of sampling below
+        print("solver failed:", exc, file=sys.stderr)
         return EXIT_SOLVER
     except (PopulationControlError, RuntimeError) as exc:
         print("sampling failed:", exc, file=sys.stderr)

@@ -136,8 +136,12 @@ def fp_step(
     e_new = pop.ev.e_loc
 
     e_mid_fp = 0.5 * (np.real(e_old) + np.real(e_new))
-    weight = pop.weight * np.exp(-dtau * (e_mid_fp - e_trial))
     lo, hi = WEIGHT_CLAMP
+    # bound the exponent one e-fold past the clamp so exp cannot overflow; a
+    # bounded weight still lands beyond the clamp and is clipped as before
+    log_growth = np.clip(-dtau * (e_mid_fp - e_trial),
+                         np.log(lo / pop.weight) - 1.0, np.log(hi / pop.weight) + 1.0)
+    weight = pop.weight * np.exp(log_growth)
     clamped = int(np.count_nonzero((weight < lo) | (weight > hi)))
     if diag is not None:
         diag.clamped += clamped

@@ -3,8 +3,9 @@
 Deliberately primitive numerics that share no code with the production
 modules: a dense finite-difference 1D eigensolver with Richardson
 extrapolation, a 4D Monte Carlo estimate of the direct transverse
-interaction, the closed-form m=0 nuclear kernel, and an exactly solvable
-separable one-electron Hamiltonian with its analytic guiding function.
+interaction, the closed-form m=0 nuclear kernel, the nuclear kernel of
+every m at z=0, and an exactly solvable separable one-electron Hamiltonian
+with its analytic guiding function.
 """
 
 from __future__ import annotations
@@ -110,6 +111,16 @@ def nuclear_kernel_m0_closed(gamma: float, z_charge: float, z):
     """
     t = np.sqrt(gamma / 2.0) * np.abs(np.asarray(z, dtype=float))
     return -z_charge * math.sqrt(math.pi * gamma / 2.0) * erfcx(t)
+
+
+def nuclear_kernel_origin(gamma: float, m: int, z_charge: float) -> float:
+    """Closed form of the smeared nuclear attraction of channel m at z=0.
+
+    -Z sqrt(gamma/2) Gamma(m + 1/2) / m!, from substituting t = q^2/(2 gamma)
+    and int_0^inf t^(-1/2) L_m(t) exp(-t) dt = Gamma(m + 1/2) / m!.
+    """
+    ratio = math.exp(math.lgamma(m + 0.5) - math.lgamma(m + 1))
+    return -z_charge * math.sqrt(gamma / 2.0) * ratio
 
 
 def mc_integral_kernel(

@@ -2,8 +2,9 @@ import pytest
 
 from magqmc.cli import main
 from magqmc.config import parse_config_text
+from magqmc.hf import BasisError
 from magqmc.iofiles import trace_header, trace_row
-from magqmc.kernels import nuclear_kernel
+from magqmc.kernels import KernelAccuracyError, nuclear_kernel
 from magqmc.oracles import grid_eigensolve
 from magqmc.sampler import BlockStats
 
@@ -72,6 +73,21 @@ def test_scf_failure_exit_3(cfg_file, capsys, monkeypatch):
     assert main(["hf", "--config", str(cfg_file), "--force"]) == 3
     err = capsys.readouterr().err
     assert "energy history" in err
+
+
+@pytest.mark.parametrize("target, error", [
+    ("build_kernel_table", KernelAccuracyError),
+    ("scf", BasisError),
+])
+def test_run_solver_failure_exit_3(cfg_file, capsys, monkeypatch, target, error):
+    import magqmc.pipeline as pl
+
+    def boom(*a, **k):
+        raise error("forced failure")
+
+    monkeypatch.setattr(pl, target, boom)
+    assert main(["run", "--config", str(cfg_file)]) == 3
+    assert "forced failure" in capsys.readouterr().err
 
 
 def test_run_and_trace_export(cfg_file, tmp_path, capsys):

@@ -139,6 +139,7 @@ def test_released_equals_fixed_for_real_guiding(exact_guiding):
     assert all(s.rp_signal == pytest.approx(1.0, abs=1e-15) for s in rp.stats)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_weight_clamp_diagnostics(exact_case, exact_guiding):
     rng = np.random.default_rng(12)
     pop = make_pop(exact_guiding, 20)

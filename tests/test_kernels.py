@@ -11,7 +11,13 @@ from magqmc.kernels import (
     graded_grid,
     nuclear_kernel,
 )
-from magqmc.oracles import mc_integral_kernel, nuclear_kernel_m0_closed
+from magqmc.config import parse_config_text
+from magqmc.oracles import (
+    mc_integral_kernel,
+    nuclear_kernel_m0_closed,
+    nuclear_kernel_origin,
+)
+from magqmc.pipeline import ensure_kernels, kernel_grid_for
 
 GAMMA = 2 * 212.7207
 
@@ -31,6 +37,13 @@ def test_nuclear_m0_matches_closed_form():
 def test_nuclear_origin_value():
     # -Z sqrt(pi g / 2) at z=0; g=2 gives -sqrt(pi)
     assert nuclear_kernel(2.0, 0, 1.0, 0.0) == pytest.approx(-np.sqrt(np.pi), rel=1e-9)
+
+
+@pytest.mark.parametrize("m", [0, 3, 10, 25])
+def test_nuclear_origin_matches_closed_form_for_every_m(m):
+    # the q cutoff grows with the degree of L_m; a fixed cutoff missed 1.9e-6 at m=10
+    got = nuclear_kernel(GAMMA, m, 2.0, 0.0)
+    assert got == pytest.approx(nuclear_kernel_origin(GAMMA, m, 2.0), rel=1e-10)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -136,3 +149,68 @@ def test_corrupted_table_detected(small_table, tmp_path):
         _np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
     with pytest.raises((KernelAccuracyError, ValueError)):
         KernelTable.load(path)
+
+
+def test_interrupted_save_keeps_previous_table(small_table, tmp_path, monkeypatch):
+    path = tmp_path / "kern.npz"
+    small_table.save(path)
+    before = path.read_bytes()
+
+    def dies_midway(fh, **arrays):
+        fh.write(b"partial")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np, "savez", dies_midway)
+    with pytest.raises(KeyboardInterrupt):
+        small_table.save(path)
+    assert path.read_bytes() == before
+
+
+def test_truncated_cache_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv("MAGQMC_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = parse_config_text("z = 1\nbeta = 50\nhf_elements = 12\n")
+    table, path, hit = ensure_kernels(cfg)
+    assert not hit
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    rebuilt, path2, hit = ensure_kernels(cfg)
+    assert not hit and path2 == path
+    assert rebuilt.checksum() == table.checksum()
+    assert KernelTable.load(path).checksum() == table.checksum()
+    assert list(path.parent.iterdir()) == [path]
+
+
+# ---------------------------------------------------------------------------
+# heavy atom: Fe (Z=26) at 5e8 T, every channel m = 0..25
+
+
+@pytest.fixture(scope="module")
+def fe_table():
+    cfg = parse_config_text("z = 26\nn_electrons = 26\nb_tesla = 5e8\n")
+    # build_kernel_table runs its two-part accuracy gate on all 728 tables
+    return build_kernel_table(cfg.field.beta, cfg.field.gamma, 26.0, range(26),
+                              kernel_grid_for(cfg))
+
+
+def test_fe_table_nuclear_origin_every_m(fe_table):
+    for m in range(26):
+        want = nuclear_kernel_origin(fe_table.gamma, m, 26.0)
+        assert fe_table.nuclear(m, 0.0) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind, m1, m2", [
+    ("V", 25, 25), ("D", 0, 25), ("X", 3, 25), ("X", 25, 25),
+])
+def test_fe_table_against_adaptive_quadrature(fe_table, kind, m1, m2):
+    g = fe_table.gamma
+    rng = np.random.default_rng(26)
+    zeta = np.concatenate([rng.uniform(0.0, 0.05, 3), rng.uniform(0.05, fe_table.span, 3)])
+    if kind == "V":
+        got, want = fe_table.nuclear(m1, zeta), nuclear_kernel(g, m1, 26.0, zeta)
+    elif kind == "D":
+        got, want = fe_table.direct(m1, m2, zeta), direct_kernel(g, m1, m2, zeta)
+    else:
+        got, want = fe_table.exchange(m1, m2, zeta), exchange_kernel(g, m1, m2, zeta)
+    # relative, with the build gate's floor 1e-3 sqrt(gamma): X_3,25 falls to 1e-72
+    err = np.abs(got - want) / np.maximum(np.abs(want), 1e-3 * np.sqrt(g))
+    assert np.max(err) < 1e-7
