@@ -136,12 +136,6 @@ class SplineBasis:
     def potential_matrix(self, v_at_quad: np.ndarray) -> np.ndarray:
         return (self.bq * (self.wq * v_at_quad)[:, None]).T @ self.bq
 
-    def nonlocal_matrix(self, g_at_quad: np.ndarray) -> np.ndarray:
-        """Galerkin matrix of an integral operator with kernel values
-        ``g_at_quad[a, b] = G(zq[a], zq[b])``."""
-        wb = self.bq * self.wq[:, None]
-        return wb.T @ g_at_quad @ wb
-
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])

@@ -82,6 +82,9 @@ def cmd_hf(args) -> int:
         for i, e in enumerate(exc.energy_history):
             print(f"  iter {i:3d}  {e:.10f}", file=sys.stderr)
         return EXIT_SOLVER
+    except BasisError as exc:
+        print("solver failed:", exc, file=sys.stderr)
+        return EXIT_SOLVER
     tag = " (cached)" if hit else ""
     print(f"orbitals{tag}: {path}")
     print(f"E_HF = {orbitals.e_total:.6f} hartree = "

@@ -3,7 +3,10 @@
 A config file is plain text, one ``key = value`` per line, ``#`` comments.
 Exactly one of ``b_tesla`` / ``beta`` sets the field. Occupations are
 ``m:nu_z`` pairs; the schedule is ``stage:blocks x steps[:equilibration]``
-entries. See docs/formats.md for the full schema.
+entries. The keys, their defaults and their checks are defined by
+``parse_config_text`` (through ``config_from_mapping`` and
+``RunConfig.validate``); ``render_config`` writes a configuration back in
+this format, and its output parses to the same configuration.
 """
 
 from __future__ import annotations

@@ -6,12 +6,17 @@ share one spin projection, so each feels the direct interaction of every
 other and the full same-spin exchange. The effective 1D Fock operator of
 the m-channel is
 
-    F_m = -1/2 d^2/dz^2 + V_m(z) + U_dir(z) - K,
+    F_m = -1/2 d^2/dz^2 + V_m(z) + U_m(z) - K_m,
 
-with the nuclear and two-body kernels taken from a KernelTable, U_dir the
-local direct potential summed over occupied orbitals and K the nonlocal
-exchange, assembled as a full Galerkin matrix. Orbitals within a channel
-are picked by longitudinal node count, not by eigenvalue index.
+with the nuclear and two-body kernels taken from a KernelTable. The direct
+potential U_m is a vector on the quadrature grid. The exchange is
+assembled straight into the Galerkin space: K_m = sum_k Y_k^T X_{m m_k} Y_k
+with Y_k = (w f_k)[:, None] * B, B the basis values at the quadrature
+nodes, so no nq x nq exchange grid is ever formed. Each iteration reads
+every pair matrix once, and the energy of an iteration comes from the
+same mean field (E_dir = 1/2 sum_k rho_k . U, E_exc = 1/2 sum_k c_k^T K c_k).
+Orbitals within a channel are picked by longitudinal node count, not by
+eigenvalue index.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh
@@ -154,70 +161,90 @@ class OrbitalSet:
 
 
 class MeanFieldWorkspace:
-    """Precomputed quadrature-grid kernel matrices for SCF assembly."""
+    """Kernel matrices on the quadrature grid and the Galerkin assembly of F_m.
+
+    Holds the one-body matrices (S, T, V_m), the nuclear kernels on the
+    grid and one nq x nq direct and exchange matrix per unordered pair of
+    occupied channels.
+    """
 
     def __init__(self, basis: SplineBasis, kernels: KernelTable, occupations):
         self.basis = basis
-        self.kernels = kernels
         self.occupations = tuple(occupations)
-        self.ms = sorted(set(o.m for o in self.occupations))
-        zq = basis.zq
-        dz = np.abs(zq[:, None] - zq[None, :])
-        self.v_quad = {m: kernels.nuclear(m, zq) for m in self.ms}
-        self.d_quad = {}
-        self.x_quad = {}
-        for i, a in enumerate(self.ms):
-            for b in self.ms[i:]:
-                self.d_quad[(a, b)] = kernels.direct(a, b, dz)
-                self.x_quad[(a, b)] = kernels.exchange(a, b, dz)
-
-    def pair_d(self, a, b):
-        return self.d_quad[(a, b) if a <= b else (b, a)]
-
-    def pair_x(self, a, b):
-        return self.x_quad[(a, b) if a <= b else (b, a)]
-
-    def mean_field(self, f_quad: np.ndarray):
-        """Direct potentials and exchange kernels on the quadrature grid.
-
-        ``f_quad[k]`` holds orbital k sampled at the quadrature nodes.
-        Returns ({m: U_dir vector}, {m: G matrix}) including the self terms,
-        whose direct and exchange energy contributions cancel identically.
-        """
-        wq = self.basis.wq
-        udir = {m: np.zeros_like(self.basis.zq) for m in self.ms}
-        gx = {m: np.zeros((len(wq), len(wq))) for m in self.ms}
+        self.channels: dict[int, list[int]] = {}
         for k, occ in enumerate(self.occupations):
-            dens = wq * f_quad[k] ** 2
-            for m in self.ms:
-                udir[m] += self.pair_d(m, occ.m) @ dens
-                gx[m] += f_quad[k][:, None] * self.pair_x(m, occ.m) * f_quad[k][None, :]
-        return udir, gx
+            self.channels.setdefault(occ.m, []).append(k)
+        self.ms = sorted(self.channels)
+        self.s_mat = basis.overlap()
+        self.t_mat = basis.kinetic()
+        self.v_quad = {m: kernels.nuclear(m, basis.zq) for m in self.ms}
+        self.v_mats = {m: basis.potential_matrix(self.v_quad[m]) for m in self.ms}
+        self.d_quad, self.x_quad = kernels.pair_matrices(basis.zq, self.ms)
 
-    def energy(self, f_quad: np.ndarray, kinetic_terms: np.ndarray):
-        """Total-energy pieces from sampled orbitals (no transverse/spin part)."""
+    def mean_field(self, coeffs: np.ndarray):
+        """Direct potentials on the quadrature grid and Galerkin exchange matrices.
+
+        ``coeffs[k]`` holds the basis coefficients of orbital k. Returns
+        ({m: U_m}, {m: K_m}) with U_m(z) = sum_k int D_{m m_k}(z - z') f_k(z')^2
+        and K_m = sum_k Y_k^T X_{m m_k} Y_k, Y_k = (w f_k)[:, None] * bq,
+        self terms included: their direct and exchange energies cancel
+        identically. Each pair matrix is read once: X_ab multiplies the
+        stacked Y_k of both channels, D_ab both channel densities.
+        """
+        basis = self.basis
+        nb = basis.n_funcs
+        f_quad = coeffs @ basis.bq.T
+        rho = {m: sum(basis.wq * f_quad[k] ** 2 for k in ks) for m, ks in self.channels.items()}
+        y = {m: np.hstack([(basis.wq * f_quad[k])[:, None] * basis.bq for k in ks])
+             for m, ks in self.channels.items()}
+        udir = {m: np.zeros(len(basis.zq)) for m in self.ms}
+        kx = {m: np.zeros((nb, nb)) for m in self.ms}
+
+        def fold(yk, xy):
+            # sum_k Y_k^T (X Y_k) over the column blocks k of both
+            return sum(yk[:, j:j + nb].T @ xy[:, j:j + nb] for j in range(0, yk.shape[1], nb))
+
+        for (a, b), dmat in self.d_quad.items():
+            xmat = self.x_quad[a, b]
+            if a == b:
+                udir[a] += dmat @ rho[a]
+                kx[a] += fold(y[a], xmat @ y[a])
+                continue
+            u = dmat @ np.column_stack([rho[b], rho[a]])
+            udir[a] += u[:, 0]
+            udir[b] += u[:, 1]
+            xy = xmat @ np.hstack([y[b], y[a]])
+            split = y[b].shape[1]
+            kx[a] += fold(y[b], xy[:, :split])
+            kx[b] += fold(y[a], xy[:, split:])
+        return udir, kx
+
+    def fock(self, m: int, udir=None, kx=None) -> np.ndarray:
+        """Galerkin Fock matrix T + V_m + U_m - K_m; the bare channel without a field."""
+        h = self.t_mat + self.v_mats[m]
+        if udir is not None:
+            h = h + self.basis.potential_matrix(udir[m]) - kx[m]
+        return h
+
+    def energy(self, coeffs: np.ndarray, udir, kx):
+        """Total-energy pieces (no transverse/spin part) from the mean field
+        of the same orbitals: E_dir = 1/2 sum_k rho_k . U_{m_k} and
+        E_exc = 1/2 sum_k c_k^T K_{m_k} c_k."""
         wq = self.basis.wq
-        n = len(self.occupations)
-        e_nuc = 0.0
+        f_quad = coeffs @ self.basis.bq.T
+        e_kin = float(np.sum(np.einsum("ki,ij,kj->k", coeffs, self.t_mat, coeffs)))
+        e_nuc = e_dir = e_exc = 0.0
         for k, occ in enumerate(self.occupations):
             e_nuc += wq @ (self.v_quad[occ.m] * f_quad[k] ** 2)
-        e_dir = 0.0
-        e_exc = 0.0
-        for a in range(n):
-            for b in range(n):
-                ma, mb = self.occupations[a].m, self.occupations[b].m
-                da = wq * f_quad[a] ** 2
-                db = wq * f_quad[b] ** 2
-                e_dir += 0.5 * da @ self.pair_d(ma, mb) @ db
-                ova = wq * f_quad[a] * f_quad[b]
-                e_exc += 0.5 * ova @ self.pair_x(ma, mb) @ ova
-        e_kin = float(np.sum(kinetic_terms))
+            e_dir += 0.5 * (wq * f_quad[k] ** 2) @ udir[occ.m]
+            e_exc += 0.5 * coeffs[k] @ kx[occ.m] @ coeffs[k]
+        e_nuc, e_dir, e_exc = float(e_nuc), float(e_dir), float(e_exc)
         return {
             "kinetic": e_kin,
-            "nuclear": float(e_nuc),
-            "direct": float(e_dir),
-            "exchange": float(e_exc),
-            "longitudinal": e_kin + float(e_nuc) + float(e_dir) - float(e_exc),
+            "nuclear": e_nuc,
+            "direct": e_dir,
+            "exchange": e_exc,
+            "longitudinal": e_kin + e_nuc + e_dir - e_exc,
         }
 
 
@@ -232,38 +259,29 @@ def scf(
 ) -> OrbitalSet:
     """Iterate the longitudinal Fock equations to self-consistency.
 
-    The mean field (direct potential + exchange kernel) is linearly damped
-    between iterations; on detected energy oscillation the new-field weight
-    is halved. Convergence requires both the energy and the orbitals to
-    settle.
+    Each iteration solves every channel in the damped mean field, builds the
+    mean field of the new orbitals, takes the energy from it and tests
+    convergence; the new field is then linearly damped into the old one
+    (direct potentials on the grid, exchange in the Galerkin space). On
+    detected energy oscillation the new-field weight is halved. Convergence
+    requires both the energy and the orbitals to settle.
     """
     if basis is None:
         basis = basis_for_config(cfg)
     ws = MeanFieldWorkspace(basis, kernels, cfg.occupations)
-    s_mat = basis.overlap()
-    t_mat = basis.kinetic()
-    v_mats = {m: basis.potential_matrix(ws.v_quad[m]) for m in ws.ms}
-
-    by_channel: dict[int, list[int]] = {}
-    for k, occ in enumerate(cfg.occupations):
-        by_channel.setdefault(occ.m, []).append(k)
-
     n_orb = len(cfg.occupations)
-    coeffs = np.zeros((n_orb, basis.n_funcs))
-    eigvals = np.zeros(n_orb)
-    zfine = np.linspace(*basis.domain, 2001)[1:-1]
+    # node counting samples the eigenvectors on a uniform interior grid
+    fine_design = basis.design_matrix(np.linspace(*basis.domain, 2001)[1:-1])
 
-    def solve_all(udir, gx):
-        new_c = np.zeros_like(coeffs)
+    def solve_all(field):
+        new_c = np.zeros((n_orb, basis.n_funcs))
         new_e = np.zeros(n_orb)
-        for m in sorted(by_channel):
-            h = t_mat + v_mats[m]
-            if udir is not None:
-                h = h + basis.potential_matrix(udir[m]) - basis.nonlocal_matrix(gx[m])
-            want = {cfg.occupations[k].nu_z: k for k in by_channel[m]}
+        for m in ws.ms:
+            h = ws.fock(m, *field)
+            want = {cfg.occupations[k].nu_z: k for k in ws.channels[m]}
             n_solve = min(max(want) + 8, basis.n_funcs)
-            w, v = solve_channel(basis, h, s_mat, n_solve)
-            fine = basis.design_matrix(zfine) @ v
+            w, v = solve_channel(basis, h, ws.s_mat, n_solve)
+            fine = fine_design @ v
             found = {}
             for col in range(n_solve):
                 nodes = count_nodes(fine[:, col])
@@ -285,16 +303,16 @@ def scf(
         return new_c, new_e
 
     energies: list[float] = []
-    udir_mixed, gx_mixed = None, None
+    field = (None, None)  # damped (U_m, K_m); none before the first solve
     cur_mix = mix
     f_quad = None
     for it in range(max_iter):
-        coeffs, eigvals = solve_all(udir_mixed, gx_mixed)
-        f_quad_new = coeffs @ basis.bq.T
-        kin = np.einsum("ki,ij,kj->k", coeffs, t_mat, coeffs)
-        parts = ws.energy(f_quad_new, kin)
+        coeffs, eigvals = solve_all(field)
+        udir, kx = ws.mean_field(coeffs)
+        parts = ws.energy(coeffs, udir, kx)
         energies.append(parts["longitudinal"])
 
+        f_quad_new = coeffs @ basis.bq.T
         orb_change = np.inf
         if f_quad is not None:
             align = np.sign(np.sum(basis.wq * f_quad * f_quad_new, axis=1))
@@ -312,14 +330,11 @@ def scf(
                 cur_mix = max(0.05, 0.5 * cur_mix)
                 logger.info("scf oscillation at iter %d; new-field weight -> %.3f", it, cur_mix)
 
-        udir_new, gx_new = ws.mean_field(f_quad)
-        if udir_mixed is None:
-            udir_mixed, gx_mixed = udir_new, gx_new
+        if field[0] is None:
+            field = (udir, kx)
         else:
-            udir_mixed = {m: cur_mix * udir_new[m] + (1 - cur_mix) * udir_mixed[m]
-                          for m in udir_new}
-            gx_mixed = {m: cur_mix * gx_new[m] + (1 - cur_mix) * gx_mixed[m]
-                        for m in gx_new}
+            field = tuple({m: cur_mix * new[m] + (1 - cur_mix) * old[m] for m in new}
+                          for new, old in zip((udir, kx), field))
     else:
         raise SCFError(
             f"no SCF convergence after {max_iter} iterations "
@@ -347,9 +362,7 @@ def scf(
 def hf_total_energy(orbitals: OrbitalSet, kernels: KernelTable) -> EnergyValue:
     """Recompute the total energy functional from the stored orbitals."""
     ws = MeanFieldWorkspace(orbitals.basis, kernels, orbitals.occupations)
-    f_quad = orbitals.coeffs @ orbitals.basis.bq.T
-    kin = np.einsum("ki,ij,kj->k", orbitals.coeffs, orbitals.basis.kinetic(), orbitals.coeffs)
-    parts = ws.energy(f_quad, kin)
+    parts = ws.energy(orbitals.coeffs, *ws.mean_field(orbitals.coeffs))
     extra = 0.0 if orbitals.spin_zeeman_included else 0.5 * orbitals.gamma * orbitals.n_orbitals
     return EnergyValue(parts["longitudinal"] + extra)
 
@@ -385,8 +398,11 @@ def save_orbitals(path, orbitals: OrbitalSet, physics_hash: str = "", config_has
         "config_hash": config_hash,
         "checksum": check.hexdigest(),
     }
-    with open(path, "wb") as fh:
+    # write aside and rename, so a killed write never leaves a partial file
+    tmp = Path(str(path) + ".tmp")
+    with open(tmp, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+    os.replace(tmp, path)
 
 
 def load_orbitals(path, expect_physics_hash: str | None = None) -> OrbitalSet:

@@ -76,6 +76,8 @@ QUAD_RTOL = 1e-9
 SPLINE_RTOL = 1e-7
 #: zeta rows per exp(-outer(zeta, q)) block, which stays at a few MB
 _ZETA_CHUNK = 256
+#: points per row block of KernelTable.pair_matrices, sized to stay in cache
+_PAIR_BLOCK = 32768
 
 
 class KernelAccuracyError(RuntimeError):
@@ -282,9 +284,14 @@ class KernelTable:
         self.v_tab = {int(k): np.asarray(v) for k, v in v_tab.items()}
         self.d_tab = {tuple(k): np.asarray(v) for k, v in d_tab.items()}
         self.x_tab = {tuple(k): np.asarray(v) for k, v in x_tab.items()}
-        self._v_sp = _splines(self.grid, self.v_tab)
-        self._d_sp = _splines(self.grid, self.d_tab)
-        self._x_sp = _splines(self.grid, self.x_tab)
+        # one fit for every table: they share the grid, and so the interval
+        # search of pair_matrices serves them all
+        sp = _splines(self.grid, {**{("v", m): t for m, t in self.v_tab.items()},
+                                  **{("d", p): t for p, t in self.d_tab.items()},
+                                  **{("x", p): t for p, t in self.x_tab.items()}})
+        self._v_sp = {m: sp["v", m] for m in self.v_tab}
+        self._d_sp = {p: sp["d", p] for p in self.d_tab}
+        self._x_sp = {p: sp["x", p] for p in self.x_tab}
 
     @staticmethod
     def _pair(m1: int, m2: int) -> tuple[int, int]:
@@ -310,6 +317,48 @@ class KernelTable:
         tail = (1.0 if m1 == m2 else 0.0) / np.maximum(az, 1e-300)
         out = np.where(inside, self._x_sp[self._pair(m1, m2)](np.minimum(az, self.span)), tail)
         return out if np.ndim(zeta) else float(out)
+
+    def pair_matrices(self, z, ms) -> tuple[dict, dict]:
+        """Direct and exchange kernels between all points ``z``, for every pair of ``ms``.
+
+        Returns ({(a, b): D}, {(a, b): X}) with a <= b and (n, n) matrices
+        equal bit for bit to ``direct(a, b, |z_i - z_j|)`` and
+        ``exchange(a, b, |z_i - z_j|)``, beyond-span tails included. The
+        spline interval of each |z_i - z_j| is found once for all tables,
+        and each table is then one cubic pass, summed in the order PPoly
+        sums it. Only the upper triangle is evaluated, in row blocks of
+        about _PAIR_BLOCK points, and mirrored.
+        """
+        z = np.asarray(z, dtype=float)
+        n = len(z)
+        ms = sorted(set(int(m) for m in ms))
+        pairs = [(a, b) for i, a in enumerate(ms) for b in ms[i:]]
+        d = {p: np.empty((n, n)) for p in pairs}
+        x = {p: np.empty((n, n)) for p in pairs}
+        # (coefficients, output, weight of the 1/|zeta| tail)
+        jobs = ([(self._d_sp[p].c, d[p], 1.0) for p in pairs]
+                + [(self._x_sp[p].c, x[p], float(p[0] == p[1])) for p in pairs])
+        rows = max(1, _PAIR_BLOCK // max(n, 1))
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            az = np.abs(z[r0:r1, None] - z[None, r0:])
+            i = np.clip(np.searchsorted(self.grid, az, side="right") - 1, 0, len(self.grid) - 2)
+            s = az - self.grid[i]
+            s2 = s * s
+            s3 = s2 * s
+            outside = az >= self.span
+            inv = 1.0 / np.maximum(az, 1e-300) if outside.any() else None
+            tmp = np.empty_like(az)
+            for c, out, tail in jobs:
+                val = np.take(c[3], i)
+                val += np.multiply(np.take(c[2], i, out=tmp), s, out=tmp)
+                val += np.multiply(np.take(c[1], i, out=tmp), s2, out=tmp)
+                val += np.multiply(np.take(c[0], i, out=tmp), s3, out=tmp)
+                if inv is not None:
+                    val = np.where(outside, tail * inv, val)
+                out[r0:r1, r0:] = val
+                out[r0:, r0:r1] = val.T
+        return d, x
 
     # -- serialization ------------------------------------------------------
 

@@ -90,6 +90,17 @@ def test_run_solver_failure_exit_3(cfg_file, capsys, monkeypatch, target, error)
     assert "forced failure" in capsys.readouterr().err
 
 
+def test_hf_solver_failure_exit_3(cfg_file, capsys, monkeypatch):
+    import magqmc.pipeline as pl
+
+    def boom(*a, **k):
+        raise BasisError("forced failure")
+
+    monkeypatch.setattr(pl, "scf", boom)
+    assert main(["hf", "--config", str(cfg_file), "--force"]) == 3
+    assert "forced failure" in capsys.readouterr().err
+
+
 def test_run_and_trace_export(cfg_file, tmp_path, capsys):
     assert main(["run", "--config", str(cfg_file)]) == 0
     out = capsys.readouterr().out

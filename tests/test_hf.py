@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import eigh
 
 from magqmc.bsplines import SplineBasis, graded_breakpoints
-from magqmc.config import parse_config_text, with_overrides
+from magqmc.config import Occupation, parse_config_text, with_overrides
 from magqmc.hf import (
     MeanFieldWorkspace,
     SCFError,
@@ -101,9 +101,7 @@ def test_energy_parts_signs(he_orbitals):
 def test_self_pairing_cancels_exactly(hydrogen_cfg, hydrogen_kernels):
     orb = scf(hydrogen_cfg, hydrogen_kernels)
     ws = MeanFieldWorkspace(orb.basis, hydrogen_kernels, orb.occupations)
-    f_quad = orb.coeffs @ orb.basis.bq.T
-    kin = np.einsum("ki,ij,kj->k", orb.coeffs, orb.basis.kinetic(), orb.coeffs)
-    parts = ws.energy(f_quad, kin)
+    parts = ws.energy(orb.coeffs, *ws.mean_field(orb.coeffs))
     scale = abs(parts["direct"]) + 1e-30
     assert abs(parts["direct"] - parts["exchange"]) < 1e-12 * scale
 
@@ -143,8 +141,7 @@ def test_scf_fixed_point(he_cfg, he_kernels, he_orbitals):
     # one more SCF iteration from the converged orbitals must not move E
     ws = MeanFieldWorkspace(he_orbitals.basis, he_kernels, he_orbitals.occupations)
     basis = he_orbitals.basis
-    f_quad = he_orbitals.coeffs @ basis.bq.T
-    udir, gx = ws.mean_field(f_quad)
+    udir, kx = ws.mean_field(he_orbitals.coeffs)
     t_mat, s_mat = basis.kinetic(), basis.overlap()
     coeffs = np.zeros_like(he_orbitals.coeffs)
     for k, occ in enumerate(he_orbitals.occupations):
@@ -152,14 +149,73 @@ def test_scf_fixed_point(he_cfg, he_kernels, he_orbitals):
             t_mat
             + basis.potential_matrix(ws.v_quad[occ.m])
             + basis.potential_matrix(udir[occ.m])
-            - basis.nonlocal_matrix(gx[occ.m])
+            - kx[occ.m]
         )
         _, v = solve_channel(basis, h, s_mat, 1)
         coeffs[k] = v[:, 0]
-    f2 = coeffs @ basis.bq.T
-    kin2 = np.einsum("ki,ij,kj->k", coeffs, t_mat, coeffs)
-    parts = ws.energy(f2, kin2)
+    parts = ws.energy(coeffs, *ws.mean_field(coeffs))
     assert abs(parts["longitudinal"] - he_orbitals.e_total) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def repeated_channel(he_cfg, he_kernels):
+    """Orbitals 0:0, 0:1 and 1:0 (two in one channel) and their workspace.
+
+    The orbitals are bare-channel eigenvectors: any smooth set exercises the
+    mean-field algebra, which is bilinear in them."""
+    occs = (Occupation(0, 0), Occupation(0, 1), Occupation(1, 0))
+    basis = basis_for_config(he_cfg)
+    t_mat, s_mat = basis.kinetic(), basis.overlap()
+    vecs = {}
+    for m, n in ((0, 2), (1, 1)):
+        h = t_mat + basis.potential_matrix(he_kernels.nuclear(m, basis.zq))
+        vecs[m] = solve_channel(basis, h, s_mat, n)[1]
+    coeffs = np.array([vecs[0][:, 0], vecs[0][:, 1], vecs[1][:, 0]])
+    return MeanFieldWorkspace(basis, he_kernels, occs), coeffs
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_mean_field_against_grid_reference(repeated_channel, he_kernels):
+    ws, coeffs = repeated_channel
+    basis = ws.basis
+    zq, wq = basis.zq, basis.wq
+    dz = np.abs(zq[:, None] - zq[None, :])
+    f = coeffs @ basis.bq.T
+    wb = basis.bq * wq[:, None]
+    udir, kx = ws.mean_field(coeffs)
+    assert sorted(udir) == sorted(kx) == [0, 1]
+    for m in (0, 1):
+        u_ref = sum(he_kernels.direct(m, o.m, dz) @ (wq * f[k] ** 2)
+                    for k, o in enumerate(ws.occupations))
+        g = sum(f[k][:, None] * he_kernels.exchange(m, o.m, dz) * f[k][None, :]
+                for k, o in enumerate(ws.occupations))
+        assert _rel(udir[m], u_ref) < 1e-12
+        assert _rel(kx[m], wb.T @ g @ wb) < 1e-12
+
+    # energy parts against the double sums over orbital pairs
+    e_dir = e_exc = 0.0
+    for a, oa in enumerate(ws.occupations):
+        for b, ob in enumerate(ws.occupations):
+            da, db = wq * f[a] ** 2, wq * f[b] ** 2
+            e_dir += 0.5 * da @ he_kernels.direct(oa.m, ob.m, dz) @ db
+            ov = wq * f[a] * f[b]
+            e_exc += 0.5 * ov @ he_kernels.exchange(oa.m, ob.m, dz) @ ov
+    parts = ws.energy(coeffs, udir, kx)
+    assert parts["direct"] == pytest.approx(e_dir, rel=1e-12)
+    assert parts["exchange"] == pytest.approx(e_exc, rel=1e-12)
+
+
+def test_workspace_keeps_only_pair_matrices_on_the_grid(repeated_channel):
+    ws, _ = repeated_channel
+    nq = len(ws.basis.zq)
+    assert sorted(ws.d_quad) == sorted(ws.x_quad) == [(0, 0), (0, 1), (1, 1)]
+    square = [name for name, val in vars(ws).items()
+              if any(np.shape(a) == (nq, nq)
+                     for a in (val.values() if isinstance(val, dict) else [val]))]
+    assert sorted(square) == ["d_quad", "x_quad"]
 
 
 def test_variational_monotonicity_under_refinement(he_cfg, he_kernels):
@@ -218,6 +274,21 @@ def test_orbital_file_round_trip(tmp_path, he_orbitals):
     assert np.allclose(loaded.longitudinal(z)[0], he_orbitals.longitudinal(z)[0])
     with pytest.raises(ValueError, match="hash"):
         load_orbitals(path, expect_physics_hash="different")
+
+
+def test_interrupted_orbital_save_keeps_previous_file(tmp_path, he_orbitals, monkeypatch):
+    path = tmp_path / "orb.npz"
+    save_orbitals(path, he_orbitals)
+    before = path.read_bytes()
+
+    def dies_midway(fh, **arrays):
+        fh.write(b"partial")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np, "savez", dies_midway)
+    with pytest.raises(KeyboardInterrupt):
+        save_orbitals(path, he_orbitals)
+    assert path.read_bytes() == before
 
 
 def test_scf_failure_carries_history(he_cfg, he_kernels):

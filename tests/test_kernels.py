@@ -120,6 +120,23 @@ def test_table_even_and_tail(small_table):
     assert small_table.exchange(0, 1, far) == 0.0
 
 
+@pytest.mark.parametrize("block", [32768, 50])
+def test_pair_matrices_match_point_evaluation(small_table, monkeypatch, block):
+    import magqmc.kernels as kernels
+
+    monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(4)
+    # grid nodes hit exactly, and separations beyond the span (12) for the tails
+    z = np.concatenate([rng.uniform(-8.0, 8.0, 37), small_table.grid[[0, 3, 250]], [-8.0, 8.0]])
+    dz = np.abs(z[:, None] - z[None, :])
+    assert np.any(dz > small_table.span) and np.any(dz < small_table.span)
+    d, x = small_table.pair_matrices(z, [1, 0])
+    assert sorted(d) == sorted(x) == [(0, 0), (0, 1), (1, 1)]
+    for a, b in d:
+        np.testing.assert_allclose(d[a, b], small_table.direct(a, b, dz), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(x[a, b], small_table.exchange(a, b, dz), rtol=1e-14, atol=0)
+
+
 def test_too_coarse_grid_reported():
     with pytest.raises(KernelAccuracyError, match="refine"):
         build_kernel_table(GAMMA / 2, GAMMA, 2.0, [0], GridSpec(span=12.0, n_points=24))

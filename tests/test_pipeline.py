@@ -149,3 +149,18 @@ def test_empty_stage_selection_rejected(tmp_path):
     cfg = tiny_cfg(tmp_path, "empty")
     with pytest.raises(ValueError, match="no stages"):
         run_pipeline(cfg, stages=["nonexistent"])
+
+
+def test_truncated_orbital_file_reruns_scf(tmp_path, monkeypatch):
+    monkeypatch.setenv("MAGQMC_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = tiny_cfg(tmp_path, "out")
+    kernels, _, _ = ensure_kernels(cfg)
+    orbs, path, hit = ensure_orbitals(cfg, kernels)
+    assert not hit
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    again, path2, hit = ensure_orbitals(cfg, kernels)
+    assert not hit and path2 == path
+    assert again.e_total == orbs.e_total
+    assert ensure_orbitals(cfg, kernels)[2]
+    assert list(path.parent.iterdir()) == [path]
