@@ -18,7 +18,7 @@ from .config import (
     validate_config,
 )
 from .dqmc import PopulationControl, StageResult, branch, fp_step, run_stage, update_offset
-from .guiding import GuidingEval, GuidingFunction, Hamiltonian, drift_velocity
+from .guiding import GuidingEval, GuidingFunction, Hamiltonian
 from .hf import OrbitalSet, hf_total_energy, load_orbitals, save_orbitals, scf
 from .jastrow import JastrowParams, jastrow_u
 from .kernels import (
@@ -62,7 +62,6 @@ __all__ = [
     "build_kernel_table",
     "default_ground_occupations",
     "direct_kernel",
-    "drift_velocity",
     "ensure_kernels",
     "ensure_orbitals",
     "eval_transverse",

@@ -12,6 +12,17 @@ angular-momentum eigenstate and the correlation factor is invariant under
 global rotations about the field axis. V_ext defaults to the nuclear
 attraction plus electron-electron repulsion; tests swap in other
 potentials through the Hamiltonian.
+
+One evaluation is one pass over two pieces:
+
+- the determinant (slater module): one transverse power table, one
+  slogdet and one inverse, then three trace contractions for the
+  gradient and Laplacian rows;
+- one distance pass (geometry module): the electron-nucleus distances and
+  the pair distances i < j, computed once and shared by the potential, the
+  coincidence mask and the Jastrow factor, whose pair gradient is a matrix
+  product instead of a (W, N, N, 3) difference tensor. At N = 1 there is
+  no pair work.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import Distances, distances
 from .jastrow import JastrowParams, jastrow_u
 from .slater import GuidingOrbitals, slater_eval
 
@@ -39,19 +51,22 @@ class Hamiltonian:
     spin_zeeman_included: bool = True
     external_potential: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def potential(self, r_elec: np.ndarray) -> np.ndarray:
-        """Scalar potential (without the magnetic one-body terms), batched."""
+    def potential(self, r_elec: np.ndarray, dist: Distances | None = None) -> np.ndarray:
+        """Scalar potential (without the magnetic one-body terms), batched.
+
+        ``dist`` holds the distances of ``r_elec`` (computed here when not
+        given).
+        """
         r = np.asarray(r_elec, dtype=float)
+        if dist is None:
+            dist = distances(r)
         v = np.zeros(r.shape[:-2])
         if self.nuclear_charge != 0.0:
-            ri = np.sqrt(np.sum(r * r, axis=-1))
-            v = v - self.nuclear_charge * np.sum(1.0 / np.maximum(ri, COINCIDENCE_CUTOFF), axis=-1)
+            v = v - self.nuclear_charge * np.sum(
+                1.0 / np.maximum(dist.ri, COINCIDENCE_CUTOFF), axis=-1
+            )
         if self.include_pair and r.shape[-2] > 1:
-            n = r.shape[-2]
-            iu, ju = np.triu_indices(n, k=1)
-            diff = r[..., iu, :] - r[..., ju, :]
-            rij = np.sqrt(np.sum(diff * diff, axis=-1))
-            v = v + np.sum(1.0 / np.maximum(rij, COINCIDENCE_CUTOFF), axis=-1)
+            v = v + np.sum(1.0 / np.maximum(dist.rij, COINCIDENCE_CUTOFF), axis=-1)
         if self.external_potential is not None:
             v = v + self.external_potential(r)
         return v
@@ -100,10 +115,15 @@ class GuidingFunction:
         n = r.shape[-2]
 
         det = slater_eval(self.orbitals, r)
-        ok = det.ok & self._separated(r)
+        dist = distances(r)
+        ok = det.ok
+        if het.nuclear_charge != 0.0:
+            ok = ok & np.all(dist.ri > COINCIDENCE_CUTOFF, axis=-1)
+        if het.include_pair and n > 1:
+            ok = ok & np.all(dist.rij > COINCIDENCE_CUTOFF, axis=-1)
 
         if self.jastrow is not None:
-            u, gu, lap_u = jastrow_u(self.jastrow, r)
+            u, gu, lap_u = jastrow_u(self.jastrow, r, dist)
         else:
             u = np.zeros(r.shape[0])
             gu = np.zeros_like(r)
@@ -120,7 +140,7 @@ class GuidingFunction:
             kinetic
             - 0.5 * het.gamma * self.m_total
             + het.gamma**2 / 8.0 * rho2
-            + het.potential(r)
+            + het.potential(r, dist)
         )
         if het.spin_zeeman_included:
             e_loc = e_loc - 0.5 * het.gamma * n
@@ -137,21 +157,3 @@ class GuidingFunction:
             return GuidingEval(out.log_abs[0], out.phase[0], out.drift[0],
                                out.phase_grad[0], out.e_loc[0], out.ok[0])
         return out
-
-    def _separated(self, r: np.ndarray) -> np.ndarray:
-        ok = np.ones(r.shape[0], dtype=bool)
-        if self.hamiltonian.nuclear_charge != 0.0:
-            ri = np.sqrt(np.sum(r * r, axis=-1))
-            ok &= np.all(ri > COINCIDENCE_CUTOFF, axis=-1)
-        n = r.shape[-2]
-        if n > 1 and self.hamiltonian.include_pair:
-            iu, ju = np.triu_indices(n, k=1)
-            diff = r[..., iu, :] - r[..., ju, :]
-            rij = np.sqrt(np.sum(diff * diff, axis=-1))
-            ok &= np.all(rij > COINCIDENCE_CUTOFF, axis=-1)
-        return ok
-
-
-def drift_velocity(ev: GuidingEval) -> np.ndarray:
-    """Fixed-phase drift grad log|Psi_G| of an evaluation."""
-    return ev.drift

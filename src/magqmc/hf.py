@@ -400,9 +400,13 @@ def save_orbitals(path, orbitals: OrbitalSet, physics_hash: str = "", config_has
     }
     # write aside and rename, so a killed write never leaves a partial file
     tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_orbitals(path, expect_physics_hash: str | None = None) -> OrbitalSet:

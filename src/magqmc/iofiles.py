@@ -4,7 +4,10 @@ Every artifact starts with a versioned header line carrying the config
 hash; readers refuse mismatched hashes when given an expected one. Binary
 artifacts (checkpoints, kernel caches, orbital files) are zipped numpy
 archives whose ``meta`` entry is a JSON string with the same header
-fields, plus an array checksum for corruption detection.
+fields. Kernel caches and orbital files also carry an array checksum for
+corruption detection; checkpoints carry none. All three are written to
+``<path>.tmp`` and renamed into place; a failed write removes the
+``.tmp``.
 """
 
 from __future__ import annotations
@@ -133,18 +136,23 @@ def save_checkpoint(
         "control": control_state,
         "rng_state": rng.bit_generator.state,
     }
+    # write aside and rename, so a killed write never leaves a partial file
     tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(
-            fh,
-            meta=np.array(json.dumps(meta)),
-            trace=np.array(trace_text),
-            r=pop.r,
-            weight=pop.weight,
-            phase=pop.phase,
-            age=pop.age,
-        )
-    tmp.replace(path)
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh,
+                meta=np.array(json.dumps(meta)),
+                trace=np.array(trace_text),
+                r=pop.r,
+                weight=pop.weight,
+                phase=pop.phase,
+                age=pop.age,
+            )
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, expect_config_hash: str | None = None) -> dict:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import Distances, distances, pair_indices
+
 _TINY = 1e-30
 
 
@@ -39,20 +41,26 @@ class JastrowParams:
         return self.z_charge / self.s
 
 
-def jastrow_u(params: JastrowParams, r_elec: np.ndarray):
+def jastrow_u(params: JastrowParams, r_elec: np.ndarray, dist: Distances | None = None):
     """U, its per-electron gradient and its total Laplacian.
 
-    ``r_elec`` has shape (..., N, 3). Returns ``(u, grad, lap)`` with
-    shapes (...,), (..., N, 3), (...,). Coincident points give finite U;
-    the gradient/Laplacian there are left to the caller's move rejection
-    (they carry the 1/r cusp terms by construction).
+    ``r_elec`` has shape (..., N, 3) and ``dist`` holds its distances
+    (computed here when not given). Returns ``(u, grad, lap)`` with shapes
+    (...,), (..., N, 3), (...,). The pair gradient is
+    sum_j C_ij (r_i - r_j) = r_i sum_j C_ij - (C r)_i with the symmetric
+    C_ij = u'(r_ij)/r_ij, so no pair difference vectors are formed.
+    Coincident points give finite U; the gradient/Laplacian there are left
+    to the caller's move rejection (they carry the 1/r cusp terms by
+    construction).
     """
     r = np.asarray(r_elec, dtype=float)
+    if dist is None:
+        dist = distances(r)
     n = r.shape[-2]
     s = params.s
     zc = params.z_charge
 
-    ri = np.sqrt(np.sum(r * r, axis=-1))  # (..., N)
+    ri = dist.ri
     ri_safe = np.maximum(ri, _TINY)
     den = 1.0 + s * ri
     u = zc * np.sum(ri / den, axis=-1)
@@ -62,20 +70,17 @@ def jastrow_u(params: JastrowParams, r_elec: np.ndarray):
     lap = np.sum(-2.0 * zc * s / den**3 + 2.0 * vp / ri_safe, axis=-1)
 
     if n > 1:
-        diff = r[..., :, None, :] - r[..., None, :, :]  # (..., N, N, 3)
-        rij = np.sqrt(np.sum(diff * diff, axis=-1))
-        iu, ju = np.triu_indices(n, k=1)
-        rp = rij[..., iu, ju]
+        rp = dist.rij
         denp = 1.0 + s * rp
         u = u - 0.25 * np.sum(rp / denp, axis=-1)
-        # pair term derivative u'(r) = -1/4 (1+s r)^-2
-        rij_safe = np.maximum(rij, _TINY)
-        up = -0.25 / (1.0 + s * rij)**2
-        np.einsum("...ii->...i", up)[...] = 0.0  # no self-pair
-        grad = grad + np.sum((up / rij_safe)[..., None] * diff, axis=-2)
-        upp = 0.5 * s / (1.0 + s * rij)**3
-        pair_lap = upp + 2.0 * up / rij_safe
-        np.einsum("...ii->...i", pair_lap)[...] = 0.0
-        lap = lap + np.sum(pair_lap, axis=(-2, -1))
+        # pair term u'(r) = -1/4 (1+s r)^-2, u''(r) = 1/2 s (1+s r)^-3
+        cp = -0.25 / denp**2 / np.maximum(rp, _TINY)
+        iu, ju = pair_indices(n)
+        c = np.zeros(r.shape[:-1] + (n,))
+        c[..., iu, ju] = cp
+        c[..., ju, iu] = cp
+        grad += np.sum(c, axis=-1)[..., None] * r - c @ r
+        # each pair enters the Laplacian of both electrons
+        lap = lap + np.sum(s / denp**3 + 4.0 * cp, axis=-1)
 
     return u, grad, lap

@@ -399,9 +399,13 @@ class KernelTable:
         }
         # write aside and rename, so a killed write never leaves a partial table
         tmp = Path(str(path) + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), **self._arrays())
-        tmp.replace(path)
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, meta=np.array(json.dumps(meta)), **self._arrays())
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path) -> "KernelTable":

@@ -52,29 +52,35 @@ def eval_transverse(orbital: LandauOrbital, rho, phi):
 
 
 def transverse_value_grad_lap(ms, gamma: float, x, y):
-    """Batched transverse factors for the Slater matrix.
+    """Batched transverse factors for the Slater matrix, derivatives in closed form.
 
-    For each orbital label in ``ms`` evaluated at Cartesian (x, y):
-    returns ``(P, dPdx, dPdy, lapP)`` where ``lapP`` is the full 2D
-    Laplacian. Shapes broadcast to ``x.shape + (len(ms),)``. Uses
-    ``w = x - i y`` so that ``rho^m e^{-i m phi} = w^m`` (no rho=0
-    singularities in the derivative formulas).
+    For each orbital label in ``ms`` evaluated at Cartesian (x, y), with
+    ``w = x - i y`` (so ``rho^m e^{-i m phi} = w^m``, no rho=0 singularity)
+    and ``g = exp(-gamma rho^2 / 4)``, returns ``(P, D)``:
+
+        P = c_m w^m g,      D = c_m m w^(m-1) g   (zero for m = 0),
+
+    shapes ``x.shape + (len(ms),)``. The gradient and Laplacian follow:
+
+        dP/dx = D - (gamma x / 2) P,     dP/dy = -i D - (gamma y / 2) P,
+        lap P = (gamma^2 rho^2 / 4 - (m + 1) gamma) P.
+
+    Both come from one table T_k = c_k w^k g, k = 0 .. max(m), built by a
+    cumulative product of w c_k / c_(k-1) = w sqrt(gamma / 2k), so no complex
+    power is taken and c_k (~ gamma^(k/2)) never meets w^k unscaled; then
+    P = T_m and D = sqrt(m gamma / 2) T_(m-1).
     """
     ms = np.asarray(ms, dtype=int)
-    x = np.asarray(x, dtype=float)[..., None]
-    y = np.asarray(y, dtype=float)[..., None]
-    w = x - 1j * y
-    rho2 = x * x + y * y
-    c = np.array([norm_const(int(m), gamma) for m in ms])
-    gauss = np.exp(-gamma * rho2 / 4.0)
-    wm = w ** ms
-    wm1 = w ** np.maximum(ms - 1, 0)  # m * w^(m-1) with the m=0 term killed below
-    base = c * gauss
-    p = base * wm
-    dpdx = base * (ms * wm1 - 0.5 * gamma * x * wm)
-    dpdy = base * (-1j * ms * wm1 - 0.5 * gamma * y * wm)
-    lap = (gamma * gamma * rho2 / 4.0 - (ms + 1) * gamma) * p
-    return p, dpdx, dpdy, lap
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    top = int(ms.max(initial=0))
+    table = np.empty(x.shape + (top + 1,), dtype=complex)
+    table[..., 0] = norm_const(0, gamma) * np.exp(-gamma * (x * x + y * y) / 4.0)
+    if top:
+        table[..., 1:] = (x - 1j * y)[..., None] * np.sqrt(gamma / (2.0 * np.arange(1, top + 1)))
+        np.cumprod(table, axis=-1, out=table)
+    d = np.sqrt(0.5 * gamma * ms) * np.take(table, np.maximum(ms - 1, 0), axis=-1)
+    return np.take(table, ms, axis=-1), d
 
 
 def form_factor(m: int, q, gamma: float):

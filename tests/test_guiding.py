@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from magqmc import units
 from magqmc.guiding import GuidingFunction, Hamiltonian
 from magqmc.jastrow import JastrowParams
-from magqmc.oracles import separable_test_hamiltonian
+from magqmc.oracles import HarmonicLongitudinal, separable_test_hamiltonian
+from magqmc.sampler import init_walkers
 
 
 @pytest.fixture
@@ -167,3 +171,119 @@ def test_paramagnetic_term_uses_total_angular_momentum(he_guiding):
     case = separable_test_hamiltonian(gamma=4.0, omega=1.0, n_electrons=3)
     gf = GuidingFunction(case.orbitals, case.hamiltonian())
     assert gf.m_total == 0 + 1 + 2
+
+
+# ---------------------------------------------------------------------------
+# the one-pass evaluation against an inline textbook reference
+
+FE_FIELD = units.beta_from_tesla(5e8)
+
+
+def reference_evaluation(orbitals, ham, jas, r):
+    """log|Psi|, drift, phase gradient, E_L and cond(A) from the textbook formulas.
+
+    Shares no code with the production path: complex powers w**m, explicit
+    dP/dx, dP/dy and lap P matrices contracted by four einsums, and the
+    Jastrow factor and potential on the full N x N pair matrices.
+    """
+    gamma = orbitals.gamma
+    ms = np.asarray(orbitals.ms)
+    n = len(ms)
+    x, y = r[..., 0, None], r[..., 1, None]
+    w = x - 1j * y
+    rho2 = x * x + y * y
+    c = np.array([math.sqrt(gamma ** (m + 1) / (2 ** (m + 1) * math.pi * math.factorial(m)))
+                  for m in ms])
+    base = c * np.exp(-gamma * rho2 / 4)
+    wm, wm1 = w**ms, w ** np.maximum(ms - 1, 0)
+    p = base * wm
+    px = base * (ms * wm1 - 0.5 * gamma * x * wm)
+    py = base * (-1j * ms * wm1 - 0.5 * gamma * y * wm)
+    plap = (gamma**2 * rho2 / 4 - (ms + 1) * gamma) * p
+    f, f1, f2 = orbitals.longitudinal(r[..., 2])
+    a = p * f
+    _, logdet = np.linalg.slogdet(a)
+    ainv = np.linalg.inv(a)
+    grad = np.stack([np.einsum("wvi,wiv->wi", ainv, d) for d in (px * f, py * f, p * f1)],
+                    axis=-1)
+    lap = np.einsum("wvi,wiv->wi", ainv, plap * f + p * f2)
+
+    s, zc = jas.s, jas.z_charge
+    ri = np.linalg.norm(r, axis=-1)
+    diff = r[:, :, None, :] - r[:, None, :, :]
+    off = ~np.eye(n, dtype=bool)
+    rij = np.where(off, np.linalg.norm(diff, axis=-1), 1.0)
+    den, denp = 1 + s * ri, 1 + s * rij
+    u = zc * np.sum(ri / den, -1) - 0.125 * np.sum(np.where(off, rij / denp, 0), axis=(1, 2))
+    gu = (zc / den**2 / ri)[..., None] * r + np.sum(
+        np.where(off, -0.25 / denp**2 / rij, 0)[..., None] * diff, axis=2)
+    lap_u = np.sum(-2 * zc * s / den**3 + 2 * zc / den**2 / ri, -1) + np.sum(
+        np.where(off, 0.5 * s / denp**3 - 0.5 / denp**2 / rij, 0), axis=(1, 2))
+    lap_psi = (np.sum(lap, -1) - 2 * np.einsum("wik,wik->w", gu, grad)
+               + np.einsum("wik,wik->w", gu, gu) - lap_u)
+    v = (-ham.nuclear_charge * np.sum(1 / ri, -1)
+         + 0.5 * np.sum(np.where(off, 1 / rij, 0), axis=(1, 2)))
+    e_loc = (-0.5 * lap_psi - 0.5 * gamma * ms.sum()
+             + gamma**2 / 8 * np.sum(rho2, axis=(1, 2)) + v - 0.5 * gamma * n)
+    return logdet - u, np.real(grad) - gu, np.imag(grad), e_loc, np.linalg.cond(a)
+
+
+def fe_like_guiding(n, jitter=0.1):
+    orbs = HarmonicLongitudinal(range(n), FE_FIELD.gamma, 50.0, amplitude_jitter=jitter)
+    ham = Hamiltonian(gamma=FE_FIELD.gamma, nuclear_charge=26.0)
+    jas = JastrowParams(FE_FIELD.beta, 26.0, n)
+    return GuidingFunction(orbs, ham, jas)
+
+
+def orbital_draws(rng, n, walkers):
+    """Configurations on the orbital supports (transverse <rho^2> = 2(m+1)/gamma)."""
+    r = np.empty((walkers, n, 3))
+    sigma = np.sqrt((np.arange(n) + 1) / FE_FIELD.gamma)
+    r[..., 0] = rng.standard_normal((walkers, n)) * sigma
+    r[..., 1] = rng.standard_normal((walkers, n)) * sigma
+    r[..., 2] = rng.standard_normal((walkers, n)) * 0.1
+    return r
+
+
+@pytest.mark.parametrize("n", [2, 12, 26])
+def test_evaluation_matches_textbook_reference(n):
+    gf = fe_like_guiding(n)
+    r = orbital_draws(np.random.default_rng(40 + n), n, 24)
+    ev = gf.evaluate(r)
+    log_ref, drift_ref, phase_ref, e_ref, cond = reference_evaluation(
+        gf.orbitals, gf.hamiltonian, gf.jastrow, r)
+    assert ev.ok.all()
+    # both sides carry rounding of order cond(A) eps; measured ratios <= 2.4
+    tol = 20.0 * np.finfo(float).eps * cond
+    grad_scale = np.max(np.abs(drift_ref), axis=(1, 2))
+    assert np.all(np.abs(ev.log_abs - log_ref) <= tol * np.abs(log_ref))
+    assert np.all(np.max(np.abs(ev.drift - drift_ref), axis=(1, 2)) <= tol * grad_scale)
+    assert np.all(np.max(np.abs(ev.phase_grad - phase_ref), axis=(1, 2)) <= tol * grad_scale)
+    assert np.all(np.abs(ev.e_loc - e_ref) <= tol * np.abs(e_ref))
+
+
+@pytest.mark.parametrize("case", ["pair 1e-13 apart", "on the nucleus", "on a node"])
+def test_coincidences_and_nodes_masked(case):
+    gf = fe_like_guiding(2, jitter=0.0)
+    r = np.array([[[0.01, 0.02, 0.05], [-0.02, 0.01, -0.03]]])
+    if case == "pair 1e-13 apart":
+        r[0, 1] = r[0, 0] + np.array([1e-13, 0.0, 0.0])
+    elif case == "on the nucleus":
+        r[0, 0] = 0.0
+    else:
+        # same transverse point at mirrored z: identical rows, distinct electrons
+        r[0, 1] = r[0, 0] * np.array([1.0, 1.0, -1.0])
+    ev = gf.evaluate(r)
+    assert not ev.ok[0]
+    assert np.isnan(ev.e_loc[0])
+
+
+def test_zero_variance_at_iron_size():
+    case = separable_test_hamiltonian(gamma=FE_FIELD.gamma, omega=50.0, n_electrons=26)
+    gf = GuidingFunction(case.orbitals, case.hamiltonian())
+    # walkers sampled from |Psi_G|^2; draws right next to a node carry
+    # cond(A) eps errors of their own (see the reference test above)
+    pop = init_walkers(gf, 20, np.random.default_rng(4), z_domain=(-1.1, 1.1))
+    rel = np.abs(pop.ev.e_loc - case.exact_energy) / case.exact_energy
+    assert pop.ev.ok.all()
+    assert np.max(rel) < 1e-8

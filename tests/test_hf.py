@@ -289,6 +289,7 @@ def test_interrupted_orbital_save_keeps_previous_file(tmp_path, he_orbitals, mon
     with pytest.raises(KeyboardInterrupt):
         save_orbitals(path, he_orbitals)
     assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no stray .tmp
 
 
 def test_scf_failure_carries_history(he_cfg, he_kernels):

@@ -181,6 +181,7 @@ def test_interrupted_save_keeps_previous_table(small_table, tmp_path, monkeypatc
     with pytest.raises(KeyboardInterrupt):
         small_table.save(path)
     assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no stray .tmp
 
 
 def test_truncated_cache_is_rebuilt(tmp_path, monkeypatch):

@@ -85,7 +85,12 @@ def test_value_grad_lap_against_finite_differences():
     gamma = 40.0
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((6, 2)) * 0.3
-    p, px, py, lap = transverse_value_grad_lap(ms, gamma, pts[:, 0], pts[:, 1])
+    x, y = pts[:, :1], pts[:, 1:]
+    p, d = transverse_value_grad_lap(ms, gamma, pts[:, 0], pts[:, 1])
+    # the closed-form Cartesian derivatives assembled from (P, D)
+    px = d - 0.5 * gamma * x * p
+    py = -1j * d - 0.5 * gamma * y * p
+    lap = (gamma**2 * (x * x + y * y) / 4.0 - (np.asarray(ms) + 1) * gamma) * p
     h = 1e-6
     for k in (0, 1):
         shift = np.zeros(2)
@@ -107,6 +112,21 @@ def test_value_grad_lap_against_finite_differences():
         pm = transverse_value_grad_lap(ms, gamma, pts[:, 0] - shift[0], pts[:, 1] - shift[1])[0]
         num += (pp - 2 * p + pm) / h2**2
     assert np.allclose(num, lap, rtol=2e-4, atol=1e-6)
+
+
+def test_transverse_value_matches_eval_transverse():
+    ms = [0, 1, 3, 7]
+    gamma = 40.0
+    rng = np.random.default_rng(1)
+    pts = rng.standard_normal((6, 2)) * 0.3
+    p, d = transverse_value_grad_lap(ms, gamma, pts[:, 0], pts[:, 1])
+    rho, phi = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+    w = pts[:, 0] - 1j * pts[:, 1]
+    for k, m in enumerate(ms):
+        ref = eval_transverse(LandauOrbital(m, gamma), rho, phi)
+        assert np.allclose(p[:, k], ref, rtol=1e-12, atol=0)
+        # D = m P / w away from the axis
+        assert np.allclose(d[:, k], m * ref / w, rtol=1e-12, atol=0)
 
 
 def test_form_factor_limits():

@@ -8,6 +8,7 @@ from magqmc import iofiles
 from magqmc.config import config_hash, parse_config_text
 from magqmc.iofiles import HeaderMismatch, load_checkpoint, read_summary, read_trace
 from magqmc.pipeline import ensure_kernels, ensure_orbitals, run_pipeline
+from magqmc.sampler import WalkerPopulation
 
 TINY = """
 z = 1
@@ -107,6 +108,29 @@ def test_checkpoint_hash_guard(tiny_run, tmp_path):
     other = tiny_cfg(tmp_path, "other", extra="seed = 1234\n")
     with pytest.raises(HeaderMismatch):
         load_checkpoint(ckpt, expect_config_hash=config_hash(other))
+
+
+def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
+    pop = WalkerPopulation(r=np.zeros((3, 1, 3)), weight=np.ones(3), phase=np.zeros(3),
+                           age=np.zeros(3, dtype=int), ev=None)
+    rng = np.random.default_rng(0)
+    path = tmp_path / "checkpoint.npz"
+
+    def save():
+        iofiles.save_checkpoint(path, "hash", pop, rng, 0, 1, {}, None, "trace")
+
+    save()
+    before = path.read_bytes()
+
+    def dies_midway(fh, **arrays):
+        fh.write(b"partial")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np, "savez", dies_midway)
+    with pytest.raises(KeyboardInterrupt):
+        save()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no stray .tmp
 
 
 def test_stage_subset_with_carryover(tiny_run, tmp_path):
