@@ -15,9 +15,9 @@ from .config import (
     default_ground_occupations,
     parse_config_text,
     render_config,
-    validate_config,
 )
-from .dqmc import PopulationControl, StageResult, branch, fp_step, run_stage, update_offset
+from .dqmc import PopulationControl, StageResult, branch, fp_step, run_stage
+from .errors import MagqmcError
 from .guiding import GuidingEval, GuidingFunction, Hamiltonian
 from .hf import OrbitalSet, hf_total_energy, load_orbitals, save_orbitals, scf
 from .jastrow import JastrowParams, jastrow_u
@@ -49,6 +49,7 @@ __all__ = [
     "JastrowParams",
     "KernelTable",
     "LandauOrbital",
+    "MagqmcError",
     "Occupation",
     "OrbitalSet",
     "PipelineResult",
@@ -82,7 +83,5 @@ __all__ = [
     "save_orbitals",
     "scf",
     "slater_eval",
-    "update_offset",
-    "validate_config",
     "vqmc_block",
 ]

@@ -3,8 +3,12 @@
 Subcommands: ``kernels`` (build/cache the interaction tables), ``hf``
 (self-consistent orbitals + adiabatic energy), ``run`` (full pipeline),
 ``trace-export`` (plot-ready files from a trace), ``print-config`` (echo
-the resolved configuration). Exit codes: 0 success, 2 configuration
-error, 3 solver (kernel/SCF) failure, 4 sampling failure.
+the resolved configuration). Exit codes: 0 success, 2 bad input (a
+configuration error, or an input artifact such as a ``--resume``
+checkpoint that is missing, truncated, corrupted, outdated or from another
+configuration), 3 solver (kernel/basis/SCF) failure, 4 sampling failure.
+Every failure is a :class:`~magqmc.errors.MagqmcError`, whose class fixes
+the code; its message goes to stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -16,15 +20,11 @@ import time
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, config_hash, parse_config_text, render_config
-from .hf import BasisError, SCFError
+from .errors import MagqmcError
 from .iofiles import export_trace
-from .kernels import KernelAccuracyError
 from .units import hartree_to_kev
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_SOLVER = 3
-EXIT_QMC = 4
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -73,18 +73,8 @@ def cmd_hf(args) -> int:
     from .pipeline import ensure_kernels, ensure_orbitals
 
     cfg = load_config(args)
-    try:
-        kernels, _, _ = ensure_kernels(cfg)
-        orbitals, path, hit = ensure_orbitals(cfg, kernels, force=args.force)
-    except SCFError as exc:
-        print("SCF failed:", exc, file=sys.stderr)
-        print("energy history (hartree):", file=sys.stderr)
-        for i, e in enumerate(exc.energy_history):
-            print(f"  iter {i:3d}  {e:.10f}", file=sys.stderr)
-        return EXIT_SOLVER
-    except BasisError as exc:
-        print("solver failed:", exc, file=sys.stderr)
-        return EXIT_SOLVER
+    kernels, _, _ = ensure_kernels(cfg)
+    orbitals, path, hit = ensure_orbitals(cfg, kernels, force=args.force)
     tag = " (cached)" if hit else ""
     print(f"orbitals{tag}: {path}")
     print(f"E_HF = {orbitals.e_total:.6f} hartree = "
@@ -95,23 +85,11 @@ def cmd_hf(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .dqmc import PopulationControlError
     from .pipeline import run_pipeline
 
     cfg = load_config(args)
     stages = args.stages.split(",") if args.stages else None
-    try:
-        result = run_pipeline(cfg, resume=args.resume, stages=stages)
-    except SCFError as exc:
-        print("SCF failed:", exc, file=sys.stderr)
-        return EXIT_SOLVER
-    except (KernelAccuracyError, BasisError) as exc:
-        # solver failures, caught before the RuntimeError of sampling below
-        print("solver failed:", exc, file=sys.stderr)
-        return EXIT_SOLVER
-    except (PopulationControlError, RuntimeError) as exc:
-        print("sampling failed:", exc, file=sys.stderr)
-        return EXIT_QMC
+    result = run_pipeline(cfg, resume=args.resume, stages=stages)
     print(f"E_HF    = {result.hf_energy.hartree:+.6f} hartree "
           f"= {result.hf_energy.kev:+.5f} keV")
     for res in result.stages:
@@ -130,8 +108,7 @@ def cmd_trace_export(args) -> int:
     for item in args.ref:
         name, sep, val = item.partition("=")
         if not sep:
-            print(f"--ref expects NAME=KEV, got '{item}'", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError([f"--ref expects NAME=KEV, got '{item}'"])
         refs[name] = float(val)
     data_path, refs_path = export_trace(args.trace, args.out, refs)
     print(f"wrote {data_path} and {refs_path}")
@@ -225,14 +202,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print("configuration error:", file=sys.stderr)
-        for violation in exc.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return EXIT_CONFIG
-    except KernelAccuracyError as exc:
-        print("kernel construction failed:", exc, file=sys.stderr)
-        return EXIT_SOLVER
+    except MagqmcError as exc:
+        print(f"magqmc {args.command}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
+from .errors import InputError
 from .units import FieldStrength, beta_from_tesla
 
 STAGES = ("vqmc", "fpdqmc", "rpdqmc")
@@ -23,12 +24,14 @@ STAGES = ("vqmc", "fpdqmc", "rpdqmc")
 DEFAULT_EQUILIBRATION_FRACTION = 0.2
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; ``violations`` lists every human-readable problem."""
+class ConfigError(InputError):
+    """Invalid configuration; ``violations`` lists every human-readable problem,
+    and the message lists them one per line."""
 
     def __init__(self, violations):
         self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+        lines = [f"  - {v}" for v in self.violations]
+        super().__init__("\n".join(["invalid configuration:", *lines]))
 
 
 class Occupation(NamedTuple):
@@ -177,7 +180,7 @@ def _parse_occupations(text: str) -> tuple[Occupation, ...]:
         try:
             out.append(Occupation(int(m_s), int(nu_s) if nu_s else 0))
         except ValueError:
-            raise ConfigError([f"bad occupation token '{tok}' (want m:nu_z)"])
+            raise ValueError(f"bad occupation token '{tok}' (want m:nu_z)")
     return tuple(out)
 
 
@@ -186,7 +189,7 @@ def _parse_schedule(text: str) -> tuple[StageSpec, ...]:
     for tok in text.replace(",", " ").split():
         parts = tok.split(":")
         if len(parts) not in (2, 3):
-            raise ConfigError([f"bad schedule token '{tok}' (want stage:BLOCKSxSTEPS[:EQ])"])
+            raise ValueError(f"bad schedule token '{tok}' (want stage:BLOCKSxSTEPS[:EQ])")
         stage = parts[0].lower()
         try:
             blocks_s, _, steps_s = parts[1].partition("x")
@@ -195,7 +198,7 @@ def _parse_schedule(text: str) -> tuple[StageSpec, ...]:
                 1, round(DEFAULT_EQUILIBRATION_FRACTION * n_blocks)
             )
         except ValueError:
-            raise ConfigError([f"bad schedule token '{tok}'"])
+            raise ValueError(f"bad schedule token '{tok}'")
         out.append(StageSpec(stage, n_blocks, steps, eq))
     return tuple(out)
 
@@ -232,7 +235,7 @@ def config_from_mapping(kv: dict[str, str]) -> RunConfig:
             return default
         try:
             return conv(kv[key])
-        except (ValueError, ConfigError) as exc:
+        except ValueError as exc:
             violations.append(f"{key}: {exc}")
             return default
 
@@ -295,11 +298,6 @@ def config_from_mapping(kv: dict[str, str]) -> RunConfig:
     if violations:
         raise ConfigError(violations)
     return cfg.validate()
-
-
-def validate_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Alias for :func:`parse_config_text`; raises ConfigError listing violations."""
-    return parse_config_text(text, overrides)
 
 
 def render_config(cfg: RunConfig) -> str:

@@ -23,15 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import StageSpec
+from .errors import SamplingError
 from .guiding import GuidingFunction
-from .sampler import (
-    BlockStats,
-    WalkerPopulation,
-    _merge_eval,
-    _take_eval,
-    metropolis_step,
-    vqmc_block,
-)
+from .sampler import BlockStats, WalkerPopulation, _take_eval, metropolis_step, vqmc_block
 
 logger = logging.getLogger(__name__)
 
@@ -40,7 +34,7 @@ SIGNAL_FLOOR = 0.1
 POPULATION_CAP_FACTOR = 10
 
 
-class PopulationControlError(RuntimeError):
+class PopulationControlError(SamplingError):
     """Walker population escaped its control bounds."""
 
 
@@ -55,6 +49,7 @@ class PopulationControl:
     history: list = field(default_factory=list)  # recent block energies
 
     def update(self, block_energy: float, population: int) -> float:
+        """E_T <- E_B + (gain / tau_block) ln(target / population), clamped."""
         self.history.append(float(block_energy))
         recent = self.history[-20:]
         e_t = block_energy + self.gain / self.tau_block * math.log(self.target / population)
@@ -95,11 +90,6 @@ def branch(pop: WalkerPopulation, rng: np.random.Generator, target: int) -> Walk
     )
 
 
-def update_offset(control: PopulationControl, block_energy: float, population: int) -> float:
-    """E_T <- E_B + (gain / tau_block) ln(target / population), clamped."""
-    return control.update(block_energy, population)
-
-
 @dataclass
 class StepDiagnostics:
     clamped: int = 0
@@ -114,25 +104,11 @@ def fp_step(
     e_trial: float,
     rng: np.random.Generator,
     released: bool = False,
-    use_metropolis: bool = True,
     diag: StepDiagnostics | None = None,
 ) -> WalkerPopulation:
     """One drift-diffusion-branching step at fixed (or released) phase."""
     e_old = pop.ev.e_loc
-    if use_metropolis:
-        pop, n_acc = metropolis_step(pop, guiding, dtau, rng)
-    else:
-        noise = rng.standard_normal(pop.r.shape) * math.sqrt(dtau)
-        r_new = pop.r + pop.ev.drift * dtau + noise
-        ev_new = guiding.evaluate(r_new)
-        good = ev_new.ok
-        pop = replace(
-            pop,
-            r=np.where(good[:, None, None], r_new, pop.r),
-            age=np.where(good, 0, pop.age + 1),
-            ev=_merge_eval(good, ev_new, pop.ev),
-        )
-        n_acc = int(np.count_nonzero(good))
+    pop, n_acc = metropolis_step(pop, guiding, dtau, rng)
     e_new = pop.ev.e_loc
 
     e_mid_fp = 0.5 * (np.real(e_old) + np.real(e_new))
@@ -167,6 +143,17 @@ class StageResult:
     weight_clamps: int = 0
     signal_lost_block: int | None = None
 
+    @classmethod
+    def from_stats(cls, spec: StageSpec, stats: list[BlockStats],
+                   weight_clamps: int = 0) -> "StageResult":
+        """Reduce a stage's block rows: mean, sigma and sem of the kept block
+        energies, and the block where the released-phase signal was lost."""
+        kept = [s.e_block for s in stats if not s.equilibration and not s.excluded]
+        e_avg, sigma = _running(kept)
+        sem = sigma / math.sqrt(len(kept)) if len(kept) >= 2 else float("nan")
+        lost = next((s.index for s in stats if s.excluded), None)
+        return cls(spec.stage, list(stats), e_avg, sigma, sem, spec, weight_clamps, lost)
+
     @property
     def n_kept(self) -> int:
         return sum(1 for s in self.stats if not s.equilibration and not s.excluded)
@@ -189,7 +176,6 @@ def run_stage(
     control: PopulationControl | None = None,
     released: bool = False,
     dtau_metropolis: float | None = None,
-    use_metropolis: bool = True,
     on_block=None,
     start_block: int = 0,
     prior_stats: list[BlockStats] | None = None,
@@ -218,7 +204,7 @@ def run_stage(
             for _ in range(spec.steps_per_block):
                 pop = fp_step(
                     pop, guiding, dtau, control.e_trial, rng,
-                    released=released, use_metropolis=use_metropolis, diag=diag,
+                    released=released, diag=diag,
                 )
                 if released:
                     cw = pop.weight * np.exp(1j * pop.phase)
@@ -274,15 +260,4 @@ def run_stage(
         if on_block is not None:
             on_block(pop, row, control)
 
-    e_avg, sigma = _running(kept)
-    sem = sigma / math.sqrt(len(kept)) if len(kept) >= 2 else float("nan")
-    return pop, StageResult(
-        stage=spec.stage,
-        stats=stats,
-        energy=e_avg,
-        sigma=sigma,
-        sem=sem,
-        spec=spec,
-        weight_clamps=diag.clamped,
-        signal_lost_block=signal_lost_at,
-    )
+    return pop, StageResult.from_stats(spec, stats, weight_clamps=diag.clamped)

@@ -21,35 +21,34 @@ eigenvalue index.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh
 
 from .bsplines import SplineBasis, graded_breakpoints
 from .config import Occupation, RunConfig
+from .errors import SolverError
+from .iofiles import read_artifact, write_artifact
 from .kernels import KernelTable
 from .units import EnergyValue
 
 logger = logging.getLogger(__name__)
 
-ORBITAL_FORMAT = "magqmc-orbitals/1"
+ORBITAL_FORMAT = "magqmc-orbitals/2"
 
 
-class SCFError(RuntimeError):
-    """SCF failed to converge; carries the energy history."""
+class SCFError(SolverError):
+    """SCF failed to converge; carries the energy history, also in the message."""
 
     def __init__(self, message, energy_history):
-        super().__init__(message)
         self.energy_history = list(energy_history)
+        lines = [f"  iter {i:3d}  {e:.10f}" for i, e in enumerate(self.energy_history)]
+        super().__init__("\n".join([message, "energy history (hartree):", *lines]))
 
 
-class BasisError(RuntimeError):
+class BasisError(SolverError):
     """Singular overlap or other basis-construction defect."""
 
 
@@ -138,6 +137,11 @@ class OrbitalSet:
     @property
     def ms(self) -> np.ndarray:
         return np.array([o.m for o in self.occupations], dtype=int)
+
+    @property
+    def z_domain(self) -> tuple[float, float]:
+        """Longitudinal support of the orbitals: the basis domain."""
+        return self.basis.domain
 
     def _splines(self):
         if self._bsplines is None:
@@ -379,11 +383,7 @@ def save_orbitals(path, orbitals: OrbitalSet, physics_hash: str = "", config_has
         "eigenvalues": orbitals.eigenvalues,
         "scf_energies": np.asarray(orbitals.scf_energies),
     }
-    check = hashlib.sha256()
-    for name in sorted(arrays):
-        check.update(np.ascontiguousarray(arrays[name]).tobytes())
     meta = {
-        "format": ORBITAL_FORMAT,
         "beta": orbitals.beta,
         "gamma": orbitals.gamma,
         "z_charge": orbitals.z_charge,
@@ -396,35 +396,12 @@ def save_orbitals(path, orbitals: OrbitalSet, physics_hash: str = "", config_has
         "energy_parts": orbitals.energy_parts,
         "physics_hash": physics_hash,
         "config_hash": config_hash,
-        "checksum": check.hexdigest(),
     }
-    # write aside and rename, so a killed write never leaves a partial file
-    tmp = Path(str(path) + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_artifact(path, ORBITAL_FORMAT, meta, arrays)
 
 
 def load_orbitals(path, expect_physics_hash: str | None = None) -> OrbitalSet:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("format") != ORBITAL_FORMAT:
-            raise ValueError(f"{path}: not an orbital file (format={meta.get('format')})")
-        if expect_physics_hash and meta.get("physics_hash") != expect_physics_hash:
-            raise ValueError(
-                f"{path}: orbital file physics hash {meta.get('physics_hash')} does not "
-                f"match the active configuration ({expect_physics_hash})"
-            )
-        arrays = {name: data[name] for name in data.files if name != "meta"}
-    check = hashlib.sha256()
-    for name in sorted(arrays):
-        check.update(np.ascontiguousarray(arrays[name]).tobytes())
-    if check.hexdigest() != meta["checksum"]:
-        raise ValueError(f"{path}: checksum mismatch (corrupted orbital file)")
+    meta, arrays = read_artifact(path, ORBITAL_FORMAT, {"physics_hash": expect_physics_hash})
     basis = SplineBasis(
         arrays["breakpoints"],
         order=meta["order"],

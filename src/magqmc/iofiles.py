@@ -1,30 +1,43 @@
-"""Run artifacts: trace CSV, checkpoints, summary, manifest, trace export.
+"""Run artifacts: trace CSV, summary, manifest, and the binary artifact codec.
 
-Every artifact starts with a versioned header line carrying the config
-hash; readers refuse mismatched hashes when given an expected one. Binary
-artifacts (checkpoints, kernel caches, orbital files) are zipped numpy
-archives whose ``meta`` entry is a JSON string with the same header
-fields. Kernel caches and orbital files also carry an array checksum for
-corruption detection; checkpoints carry none. All three are written to
-``<path>.tmp`` and renamed into place; a failed write removes the
-``.tmp``.
+Text artifacts (trace, summary) start with a ``# <format> config=<hash>``
+line; their readers share one check of it and refuse a mismatched hash
+when given an expected one.
+
+Every binary artifact (kernel table, orbital file, checkpoint) goes
+through one codec, :func:`write_artifact` / :func:`read_artifact`: an
+``.npz`` holding a JSON ``meta`` entry (its ``format`` first), the named
+arrays, and a sha256 ``checksum`` over all of them. The file is written to
+``<path>.tmp`` and renamed into place, and a failed write removes the
+``.tmp``, so a kill at any point leaves the previous file intact. Reading
+checks the format, the checksum and an optional hash guard; a missing,
+truncated, corrupted, outdated or mismatched file raises
+:class:`ArtifactError`. Old formats are refused, never migrated.
+
+Checkpoints store the trace rows once, as JSON; on resume the trace file is
+regenerated from them (header plus :func:`trace_row` of each), byte for
+byte.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from .errors import InputError
 from .sampler import BlockStats, WalkerPopulation
 from .units import hartree_to_kev
 
 TRACE_FORMAT = "magqmc-trace/1"
 SUMMARY_FORMAT = "magqmc-summary/1"
-CHECKPOINT_FORMAT = "magqmc-checkpoint/1"
+CHECKPOINT_FORMAT = "magqmc-checkpoint/2"
 
 TRACE_COLUMNS = (
     "stage,block,e_b_hartree,e_b_kev,e_avg_hartree,e_avg_kev,acceptance,"
@@ -32,8 +45,69 @@ TRACE_COLUMNS = (
 )
 
 
-class HeaderMismatch(ValueError):
+class ArtifactError(InputError):
+    """An artifact file is missing, unreadable, corrupted or of another format."""
+
+
+class HeaderMismatch(ArtifactError):
     """Artifact header does not match the active configuration."""
+
+
+# ---------------------------------------------------------------------------
+# binary artifacts
+
+
+def checksum(entries: dict[str, np.ndarray]) -> str:
+    """sha256 over the (name, dtype, shape, bytes) of every entry, sorted by name."""
+    h = hashlib.sha256()
+    for name in sorted(entries):
+        arr = np.ascontiguousarray(entries[name])
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def write_artifact(path, fmt: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Atomically write ``arrays`` and ``meta`` (JSON) as a checksummed npz."""
+    entries = {"meta": np.array(json.dumps({"format": fmt, **meta})), **arrays}
+    entries["checksum"] = np.array(checksum(entries))
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **entries)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_artifact(path, fmt: str, expect: dict | None = None) -> tuple[dict, dict]:
+    """(meta, arrays) of an artifact written by :func:`write_artifact`.
+
+    ``expect`` maps meta keys (``config_hash``, ``physics_hash``) to the
+    values the caller requires; a None value is not checked. Raises
+    ArtifactError, or its subclass HeaderMismatch for a failed guard.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            entries = {name: data[name] for name in data.files}
+        meta = json.loads(str(entries["meta"]))
+        stored = str(entries.pop("checksum", ""))
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise ArtifactError(f"{path}: unreadable {fmt} file ({exc})") from exc
+    if meta.get("format") != fmt:
+        raise ArtifactError(f"{path}: format {meta.get('format')!r}, expected {fmt!r}")
+    if stored != checksum(entries):
+        raise ArtifactError(f"{path}: checksum mismatch (corrupted {fmt} file)")
+    for key, want in (expect or {}).items():
+        if want is not None and meta.get(key) != want:
+            raise HeaderMismatch(f"{path}: {key} {meta.get(key)} != {want}")
+    del entries["meta"]
+    return meta, entries
+
+
+# ---------------------------------------------------------------------------
+# trace
 
 
 def trace_header(config_hash: str) -> str:
@@ -50,26 +124,30 @@ def trace_row(stats: BlockStats) -> str:
     )
 
 
+def _read_text_artifact(path, fmt: str, expect_config_hash: str | None) -> list[str]:
+    """Lines of a text artifact below its checked ``# <fmt> config=<hash>`` line."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ArtifactError(f"{path}: unreadable {fmt} file ({exc})") from exc
+    head = lines[0] if lines else ""
+    if not head.startswith(f"# {fmt} config="):
+        raise ArtifactError(f"{path}: not a {fmt} file ({head[:40]!r})")
+    got = head.split("config=", 1)[1].strip()
+    if expect_config_hash is not None and got != expect_config_hash:
+        raise HeaderMismatch(f"{path}: config_hash {got} != {expect_config_hash}")
+    return [ln for ln in lines[1:] if ln.strip()]
+
+
 def read_trace(path, expect_config_hash: str | None = None) -> list[dict]:
     """Parse a trace CSV back into one dict per block row."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        return []
-    head = lines[0]
-    if not head.startswith(f"# {TRACE_FORMAT}"):
-        raise ValueError(f"{path}: not a trace file ({head[:40]!r})")
-    if expect_config_hash is not None:
-        got = head.split("config=", 1)[1].strip()
-        if got != expect_config_hash:
-            raise HeaderMismatch(f"{path}: trace config hash {got} != {expect_config_hash}")
-    cols = lines[1].split(",")
+    lines = _read_text_artifact(path, TRACE_FORMAT, expect_config_hash)
+    cols = lines[0].split(",")
     rows = []
-    for ln in lines[2:]:
-        parts = ln.split(",")
-        row = dict(zip(cols, parts))
+    for ln in lines[1:]:
+        row = dict(zip(cols, ln.split(",")))
         for key in row:
-            if key not in ("stage",):
+            if key != "stage":
                 row[key] = float(row[key])
         rows.append(row)
     return rows
@@ -123,11 +201,9 @@ def save_checkpoint(
     next_block: int,
     stage_rows: dict[str, list[dict]],
     control_state: dict | None,
-    trace_text: str,
     stage_name: str = "",
 ) -> None:
     meta = {
-        "format": CHECKPOINT_FORMAT,
         "config_hash": config_hash,
         "stage_index": stage_index,
         "stage_name": stage_name,
@@ -136,41 +212,14 @@ def save_checkpoint(
         "control": control_state,
         "rng_state": rng.bit_generator.state,
     }
-    # write aside and rename, so a killed write never leaves a partial file
-    tmp = Path(str(path) + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                meta=np.array(json.dumps(meta)),
-                trace=np.array(trace_text),
-                r=pop.r,
-                weight=pop.weight,
-                phase=pop.phase,
-                age=pop.age,
-            )
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    arrays = {"r": pop.r, "weight": pop.weight, "phase": pop.phase, "age": pop.age}
+    write_artifact(path, CHECKPOINT_FORMAT, meta, arrays)
 
 
 def load_checkpoint(path, expect_config_hash: str | None = None) -> dict:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not a checkpoint (format={meta.get('format')})")
-        if expect_config_hash and meta["config_hash"] != expect_config_hash:
-            raise HeaderMismatch(
-                f"{path}: checkpoint config hash {meta['config_hash']} != {expect_config_hash}"
-            )
-        meta["walkers"] = {
-            "r": data["r"],
-            "weight": data["weight"],
-            "phase": data["phase"],
-            "age": data["age"],
-        }
-        meta["trace_text"] = str(data["trace"])
+    """The checkpoint's meta fields plus its walker arrays under ``walkers``."""
+    meta, arrays = read_artifact(path, CHECKPOINT_FORMAT, {"config_hash": expect_config_hash})
+    meta["walkers"] = arrays
     return meta
 
 
@@ -186,19 +235,11 @@ def write_summary(path, config_hash: str, fields: dict) -> None:
 
 
 def read_summary(path, expect_config_hash: str | None = None) -> dict:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith(f"# {SUMMARY_FORMAT}"):
-        raise ValueError(f"{path}: not a summary file")
-    if expect_config_hash is not None:
-        got = lines[0].split("config=", 1)[1].strip()
-        if got != expect_config_hash:
-            raise HeaderMismatch(f"{path}: summary config hash {got} != {expect_config_hash}")
     out = {}
-    for ln in lines[1:]:
-        if not ln.strip() or ln.startswith("#"):
-            continue
-        key, _, val = ln.partition("=")
-        out[key.strip()] = val.strip()
+    for ln in _read_text_artifact(path, SUMMARY_FORMAT, expect_config_hash):
+        if not ln.startswith("#"):
+            key, _, val = ln.partition("=")
+            out[key.strip()] = val.strip()
     return out
 
 

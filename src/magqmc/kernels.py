@@ -45,23 +45,23 @@ independent reference for tests and oracles, not the build path.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, PPoly
 from scipy.optimize import brentq
 
+from . import iofiles
+from .errors import SolverError
 from .landau import form_factor, mixed_form_factor
 
 logger = logging.getLogger(__name__)
 
-KERNEL_FORMAT = "magqmc-kernels/2"
+KERNEL_FORMAT = "magqmc-kernels/3"
 
 #: adaptive-quadrature relative tolerances of the point functions
 V_EPSREL = 1e-9
@@ -80,7 +80,7 @@ _ZETA_CHUNK = 256
 _PAIR_BLOCK = 32768
 
 
-class KernelAccuracyError(RuntimeError):
+class KernelAccuracyError(SolverError):
     """Quadrature or interpolation failed to reach its tolerance."""
 
 
@@ -380,56 +380,24 @@ class KernelTable:
         return arrs
 
     def checksum(self) -> str:
-        h = hashlib.sha256()
-        for name, arr in sorted(self._arrays().items()):
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
+        return iofiles.checksum(self._arrays())
 
     def save(self, path) -> None:
-        meta = {
-            "format": KERNEL_FORMAT,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "z_charge": self.z_charge,
-            "ms": list(self.ms),
-            "cache_key": self.cache_key(),
-            "checksum": self.checksum(),
-            "interpolation": "cubic",
-        }
-        # write aside and rename, so a killed write never leaves a partial table
-        tmp = Path(str(path) + ".tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, meta=np.array(json.dumps(meta)), **self._arrays())
-            tmp.replace(path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        meta = {"beta": self.beta, "gamma": self.gamma, "z_charge": self.z_charge,
+                "ms": list(self.ms), "cache_key": self.cache_key(), "interpolation": "cubic"}
+        iofiles.write_artifact(path, KERNEL_FORMAT, meta, self._arrays())
 
     @classmethod
     def load(cls, path) -> "KernelTable":
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta.get("format") != KERNEL_FORMAT:
-                raise ValueError(f"{path}: not a kernel table (format={meta.get('format')})")
-            v_tab = {}
-            d_tab = {}
-            x_tab = {}
-            for name in data.files:
-                if name.startswith("v_"):
-                    v_tab[int(name[2:])] = data[name]
-                elif name.startswith("d_"):
-                    a, b = name[2:].split("_")
-                    d_tab[(int(a), int(b))] = data[name]
-                elif name.startswith("x_"):
-                    a, b = name[2:].split("_")
-                    x_tab[(int(a), int(b))] = data[name]
-            table = cls(meta["beta"], meta["gamma"], meta["z_charge"], meta["ms"],
-                        data["grid"], v_tab, d_tab, x_tab)
-        if table.checksum() != meta["checksum"]:
-            raise KernelAccuracyError(f"{path}: checksum mismatch (corrupted table)")
-        return table
+        meta, arrays = iofiles.read_artifact(path, KERNEL_FORMAT)
+        tabs = {"v": {}, "d": {}, "x": {}}
+        for name, tab in arrays.items():
+            kind, *ms = name.split("_")
+            if kind in tabs:
+                key = tuple(int(m) for m in ms)
+                tabs[kind][key if len(key) > 1 else key[0]] = tab
+        return cls(meta["beta"], meta["gamma"], meta["z_charge"], meta["ms"],
+                   arrays["grid"], tabs["v"], tabs["d"], tabs["x"])
 
 
 def build_kernel_table(

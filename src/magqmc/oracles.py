@@ -17,8 +17,10 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import erfcx
 
+from .errors import SolverError
 
-class GridResolutionError(RuntimeError):
+
+class GridResolutionError(SolverError):
     """The uniform grid does not resolve the potential."""
 
 
@@ -159,7 +161,8 @@ class HarmonicLongitudinal:
     Implements the orbital interface the determinant consumes, with m
     labels taken from ``ms`` and every longitudinal factor equal to the
     omega ground state (optionally with coefficients jittered to make the
-    guiding inexact on purpose).
+    guiding inexact on purpose). The support ``z_domain`` reaches 8
+    oscillator lengths either side.
     """
 
     def __init__(self, ms, gamma: float, omega: float, amplitude_jitter: float = 0.0):
@@ -172,30 +175,28 @@ class HarmonicLongitudinal:
     def ms(self) -> np.ndarray:
         return self._ms
 
+    @property
+    def z_domain(self) -> tuple[float, float]:
+        half = 8.0 / math.sqrt(self.omega)
+        return (-half, half)
+
     def longitudinal(self, z):
+        """(f, f', f'') with shape z.shape + (n_orb,), read-only views.
+
+        Every column is the same function f = g (1 + j omega z^2), g the
+        oscillator ground state and j the jitter, so it is computed once on
+        z.shape + (1,) and broadcast. The jitter terms vanish at j = 0,
+        where the values are exactly g, -omega z g and (omega^2 z^2 - omega) g.
+        """
         z = np.asarray(z, dtype=float)[..., None]
-        om = self.omega
-        f = (om / math.pi) ** 0.25 * np.exp(-0.5 * om * z**2)
-        if self.jitter:
-            # an inexact trial: mix in a small even perturbation
-            f = f * (1.0 + self.jitter * om * z**2)
-        f = np.broadcast_to(f, z.shape[:-1] + (len(self._ms),)).copy()
-        if self.jitter:
-            zb = np.broadcast_to(z, f.shape)
-            base = (om / math.pi) ** 0.25 * np.exp(-0.5 * om * zb**2)
-            f1 = base * (-om * zb) * (1.0 + self.jitter * om * zb**2) + base * (
-                2.0 * self.jitter * om * zb
-            )
-            f2 = base * (
-                (om**2 * zb**2 - om) * (1.0 + self.jitter * om * zb**2)
-                + 2.0 * (-om * zb) * (2.0 * self.jitter * om * zb)
-                + 2.0 * self.jitter * om
-            )
-        else:
-            zb = np.broadcast_to(z, f.shape)
-            f1 = -om * zb * f
-            f2 = (om**2 * zb**2 - om) * f
-        return f, f1, f2
+        om, j = self.omega, self.jitter
+        g = (om / math.pi) ** 0.25 * np.exp(-0.5 * om * z**2)
+        a = 1.0 + j * om * z**2
+        f = g * a
+        f1 = -om * z * (a - 2.0 * j) * g
+        f2 = ((om**2 * z**2 - om) * a - 2.0 * j * om * (2.0 * om * z**2 - 1.0)) * g
+        shape = z.shape[:-1] + (len(self._ms),)
+        return tuple(np.broadcast_to(x, shape) for x in (f, f1, f2))
 
 
 @dataclass

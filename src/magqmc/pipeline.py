@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import iofiles
-from .config import RunConfig, config_hash, physics_hash, render_config
+from .config import ConfigError, RunConfig, config_hash, physics_hash, render_config
 from .dqmc import PopulationControl, StageResult, run_stage
 from .guiding import GuidingFunction, Hamiltonian
 from .hf import OrbitalSet, basis_for_config, load_orbitals, save_orbitals, scf
+from .iofiles import ArtifactError
 from .jastrow import JastrowParams
 from .kernels import GridSpec, KernelTable, build_kernel_table
 from .sampler import WalkerPopulation, init_walkers
@@ -57,7 +58,7 @@ def ensure_kernels(cfg: RunConfig, force: bool = False) -> tuple[KernelTable, Pa
             table = KernelTable.load(path)
             logger.info("kernel cache hit: %s", path)
             return table, path, True
-        except Exception as exc:
+        except ArtifactError as exc:
             logger.warning("kernel cache %s unusable (%s); rebuilding", path, exc)
     table = build_kernel_table(cfg.field.beta, gamma, float(cfg.z), ms, grid)
     table.save(path)
@@ -77,7 +78,7 @@ def ensure_orbitals(
             orbs = load_orbitals(path, expect_physics_hash=physics_hash(cfg))
             logger.info("orbital cache hit: %s", path)
             return orbs, path, True
-        except Exception as exc:
+        except ArtifactError as exc:
             logger.warning("orbital file %s unusable (%s); re-running SCF", path, exc)
     path.parent.mkdir(parents=True, exist_ok=True)
     orbs = scf(cfg, kernels, basis_for_config(cfg))
@@ -131,6 +132,10 @@ def run_pipeline(
     summary_path = outdir / "summary.txt"
     manifest_path = outdir / "manifest.json"
     ckpt_path = outdir / "checkpoint.npz"
+    schedule = [s for s in cfg.schedule if stages is None or s.stage in stages]
+    if not schedule:
+        raise ConfigError([f"no stages to run (requested {stages})"])
+    ck = None if resume is None else iofiles.load_checkpoint(resume, expect_config_hash=cfg_hash)
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -143,18 +148,13 @@ def run_pipeline(
     logger.info("adiabatic reference energy: %s", hf_energy)
 
     guiding = guiding_for(cfg, orbitals)
-    schedule = [s for s in cfg.schedule if stages is None or s.stage in stages]
-    if not schedule:
-        raise ValueError(f"no stages to run (requested {stages})")
 
     # --- state: fresh or resumed -------------------------------------------
     rng = np.random.default_rng(cfg.seed)
     stage_rows: dict[str, list[dict]] = {}
     start_stage, start_block = 0, 0
     control_state = None
-    trace_text = iofiles.trace_header(cfg_hash)
-    if resume is not None:
-        ck = iofiles.load_checkpoint(resume, expect_config_hash=cfg_hash)
+    if ck is not None:
         rng.bit_generator.state = ck["rng_state"]
         wk = ck["walkers"]
         pop = WalkerPopulation(
@@ -169,7 +169,6 @@ def run_pipeline(
             stage_rows = ck["stage_rows"]
             start_stage, start_block = ck["stage_index"], ck["next_block"]
             control_state = ck["control"]
-            trace_text = ck["trace_text"]
             logger.info(
                 "resumed at stage %d (%s) block %d from %s",
                 start_stage, ck_stage, start_block, resume,
@@ -186,16 +185,15 @@ def run_pipeline(
         pop = init_walkers(guiding, cfg.n_walkers, rng)
         timings["init"] = time.perf_counter() - t0
 
+    # the trace so far: its header plus the rows a resumed checkpoint carries
+    done = iofiles.stats_from_jsonable([r for rows in stage_rows.values() for r in rows])
     trace_fh = open(trace_path, "w")
-    trace_fh.write(trace_text)
+    trace_fh.write(iofiles.trace_header(cfg_hash) + "".join(map(iofiles.trace_row, done)))
     trace_fh.flush()
 
     def writer(stage_idx):
         def on_block(pop_now, row, control_now):
-            nonlocal trace_text
-            line = iofiles.trace_row(row)
-            trace_text += line
-            trace_fh.write(line)
+            trace_fh.write(iofiles.trace_row(row))
             trace_fh.flush()
             rows = stage_rows.setdefault(row.stage, [])
             rows.append(iofiles.stats_to_jsonable([row])[0])
@@ -215,7 +213,6 @@ def run_pipeline(
                     stage_index=stage_idx, next_block=row.index + 1,
                     stage_name=schedule[stage_idx].stage,
                     stage_rows=stage_rows, control_state=cstate,
-                    trace_text=trace_text,
                 )
         return on_block
 
@@ -224,8 +221,7 @@ def run_pipeline(
         for idx, spec in enumerate(schedule):
             if idx < start_stage:
                 prior = iofiles.stats_from_jsonable(stage_rows.get(spec.stage, []))
-                pop_unused, res = None, _result_from_rows(spec, prior)
-                results.append(res)
+                results.append(StageResult.from_stats(spec, prior))
                 continue
             blk0 = start_block if idx == start_stage else 0
             prior = iofiles.stats_from_jsonable(stage_rows.get(spec.stage, [])[:blk0])
@@ -304,17 +300,6 @@ def _initial_offset(results: list[StageResult], pop: WalkerPopulation) -> float:
             return res.energy
     w = pop.weight
     return float(np.sum(w * np.real(pop.ev.e_loc)) / np.sum(w))
-
-
-def _result_from_rows(spec, rows) -> StageResult:
-    kept = [r.e_block for r in rows if not r.equilibration and not r.excluded]
-    import math as _math
-
-    avg = float(np.mean(kept)) if kept else float("nan")
-    sig = float(np.std(kept, ddof=1)) if len(kept) >= 2 else float("nan")
-    sem = sig / _math.sqrt(len(kept)) if len(kept) >= 2 else float("nan")
-    lost = next((r.index for r in rows if r.excluded), None)
-    return StageResult(spec.stage, list(rows), avg, sig, sem, spec, signal_lost_block=lost)
 
 
 def _summary_fields(cfg: RunConfig, hf_energy: EnergyValue, results: list[StageResult]) -> dict:

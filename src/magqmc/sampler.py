@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .guiding import COINCIDENCE_CUTOFF, GuidingEval, GuidingFunction
+from .errors import SamplingError
+from .guiding import GuidingEval, GuidingFunction
 
 logger = logging.getLogger(__name__)
 
@@ -118,9 +119,10 @@ def init_walkers(
 
     Transverse coordinates of electron slot k are Gaussian with
     <rho^2> = 2(m_k+1)/gamma; longitudinal coordinates are drawn from the
-    slot's |f|^2 by inverse CDF on a fine grid. Walkers landing on a node
-    are redrawn, then the population is pre-equilibrated with a few
-    Metropolis steps. Deterministic for a given seed.
+    slot's |f|^2 by inverse CDF on a fine grid over ``z_domain`` (by
+    default the orbitals' own). Walkers landing on a node are redrawn, then
+    the population is pre-equilibrated with a few Metropolis steps.
+    Deterministic for a given seed.
     """
     rng = (
         seed_or_rng
@@ -132,14 +134,8 @@ def init_walkers(
     n = len(ms)
     gamma = orbitals.gamma
 
-    if z_domain is None:
-        basis = getattr(orbitals, "basis", None)
-        if basis is not None:
-            z_domain = basis.domain
-        else:
-            half = 8.0 / math.sqrt(getattr(orbitals, "omega", 1.0))
-            z_domain = (-half, half)
-    zgrid = np.linspace(z_domain[0], z_domain[1], 4001)
+    z_lo, z_hi = orbitals.z_domain if z_domain is None else z_domain
+    zgrid = np.linspace(z_lo, z_hi, 4001)
     f, _, _ = orbitals.longitudinal(zgrid)
     dens = f**2
     cdfs = np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(zgrid)[:, None], axis=0)
@@ -165,7 +161,7 @@ def init_walkers(
         r[bad] = draw(int(np.count_nonzero(bad)))
         ev = guiding.evaluate(r)
     else:
-        raise RuntimeError("could not draw a node-free initial population")
+        raise SamplingError("could not draw a node-free initial population")
 
     pop = WalkerPopulation(
         r=r,

@@ -36,12 +36,16 @@ from .landau import transverse_value_grad_lap
 
 
 class GuidingOrbitals(Protocol):
-    """What the determinant needs from an orbital set."""
+    """What the determinant (and the sampler's initial draw) needs from an
+    orbital set."""
 
     gamma: float
 
     @property
     def ms(self) -> np.ndarray: ...
+
+    @property
+    def z_domain(self) -> tuple[float, float]: ...
 
     def longitudinal(self, z): ...
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InputError
+
 #: Reference field (tesla) for the dimensionless strength beta = B/B0.
 B0_TESLA = 4.701e5
 
@@ -20,7 +22,7 @@ HARTREE_EV = 27.211386
 HARTREE_KEV = HARTREE_EV * 1e-3
 
 
-class UnitsError(ValueError):
+class UnitsError(InputError):
     """Raised for out-of-domain unit conversions."""
 
 

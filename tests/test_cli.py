@@ -1,12 +1,18 @@
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
 import pytest
 
 from magqmc.cli import main
-from magqmc.config import parse_config_text
-from magqmc.hf import BasisError
-from magqmc.iofiles import trace_header, trace_row
+from magqmc.config import ConfigError, parse_config_text
+from magqmc.errors import MagqmcError, SamplingError
+from magqmc.hf import BasisError, SCFError
+from magqmc.iofiles import ArtifactError, save_checkpoint, trace_header, trace_row
 from magqmc.kernels import KernelAccuracyError, nuclear_kernel
 from magqmc.oracles import grid_eigensolve
-from magqmc.sampler import BlockStats
+from magqmc.sampler import BlockStats, WalkerPopulation
 
 TINY = """
 z = 1
@@ -64,7 +70,6 @@ def test_kernels_and_hf_commands(cfg_file, capsys):
 
 def test_scf_failure_exit_3(cfg_file, capsys, monkeypatch):
     import magqmc.pipeline as pl
-    from magqmc.hf import SCFError
 
     def boom(*a, **k):
         raise SCFError("no convergence", [-1.0, -1.1])
@@ -75,19 +80,67 @@ def test_scf_failure_exit_3(cfg_file, capsys, monkeypatch):
     assert "energy history" in err
 
 
-@pytest.mark.parametrize("target, error", [
-    ("build_kernel_table", KernelAccuracyError),
-    ("scf", BasisError),
-])
-def test_run_solver_failure_exit_3(cfg_file, capsys, monkeypatch, target, error):
+def _raise(error, message):
+    def boom(*args, **kwargs):
+        raise error(message, [-1.0, -1.1]) if error is SCFError else error(message)
+    return boom
+
+
+#: failing `magqmc run` inputs: case -> (exit code, text on stderr)
+RUN_FAILURES = {
+    "resume-mismatched": (2, "config_hash"),
+    "resume-truncated": (2, "unreadable"),
+    "resume-missing": (2, "No such file"),
+    "stages-bogus": (2, "no stages to run"),
+    "build_kernel_table-KernelAccuracyError": (3, "forced failure"),
+    "scf-BasisError": (3, "forced failure"),
+    "scf-SCFError": (3, "energy history"),
+    "init_walkers-SamplingError": (4, "forced failure"),
+}
+
+
+@pytest.mark.parametrize("case", RUN_FAILURES)
+def test_run_failure_exit_code(cfg_file, tmp_path, capsys, monkeypatch, case):
     import magqmc.pipeline as pl
 
-    def boom(*a, **k):
-        raise error("forced failure")
+    argv = ["run", "--config", str(cfg_file)]
+    ckpt = tmp_path / "checkpoint.npz"
+    if case.startswith("resume-"):
+        argv += ["--resume", str(ckpt)]
+        if case != "resume-missing":
+            # a checkpoint written under another configuration's hash
+            pop = WalkerPopulation(r=np.zeros((2, 1, 3)), weight=np.ones(2),
+                                   phase=np.zeros(2), age=np.zeros(2, dtype=int), ev=None)
+            save_checkpoint(ckpt, "0" * 16, pop, np.random.default_rng(0), 0, 1, {}, None)
+        if case == "resume-truncated":
+            data = ckpt.read_bytes()
+            ckpt.write_bytes(data[: len(data) // 2])
+    elif case == "stages-bogus":
+        argv += ["--stages", "bogus"]
+    else:
+        target, error = case.split("-")
+        errors = {"KernelAccuracyError": KernelAccuracyError, "BasisError": BasisError,
+                  "SCFError": SCFError, "SamplingError": SamplingError}
+        monkeypatch.setattr(pl, target, _raise(errors[error], "forced failure"))
+    code, message = RUN_FAILURES[case]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
-    monkeypatch.setattr(pl, target, boom)
-    assert main(["run", "--config", str(cfg_file)]) == 3
-    assert "forced failure" in capsys.readouterr().err
+
+def test_every_error_class_has_an_exit_code():
+    import magqmc
+
+    found = set()
+    for info in pkgutil.iter_modules(magqmc.__path__):
+        module = importlib.import_module(f"magqmc.{info.name}")
+        found |= {cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, Exception) and cls.__module__.startswith("magqmc.")}
+    assert {ArtifactError, ConfigError, KernelAccuracyError, SCFError, SamplingError} <= found
+    for cls in found - {MagqmcError}:
+        assert issubclass(cls, MagqmcError), cls
+        assert cls.exit_code in (2, 3, 4), cls
 
 
 def test_hf_solver_failure_exit_3(cfg_file, capsys, monkeypatch):

@@ -10,7 +10,6 @@ from magqmc.dqmc import (
     branch,
     fp_step,
     run_stage,
-    update_offset,
 )
 from magqmc.guiding import GuidingFunction
 from magqmc.oracles import separable_test_hamiltonian
@@ -77,18 +76,18 @@ def test_population_explosion_aborts(exact_guiding):
 
 def test_update_offset_formula():
     ctrl = PopulationControl(e_trial=0.0, target=100, tau_block=0.02, gain=0.1)
-    assert update_offset(ctrl, -3.0, 100) == pytest.approx(-3.0)
+    assert ctrl.update(-3.0, 100) == pytest.approx(-3.0)
     ctrl2 = PopulationControl(e_trial=0.0, target=100, tau_block=0.02, gain=0.1)
-    got = update_offset(ctrl2, -3.0, 200)
+    got = ctrl2.update(-3.0, 200)
     assert got == pytest.approx(-3.0 - 0.1 * math.log(2.0) / 0.02)
 
 
 def test_update_offset_clamps_to_recent_history():
     ctrl = PopulationControl(e_trial=0.0, target=100, tau_block=1e-4, gain=0.1)
     for e in (-1.0, -1.01, -0.99):
-        update_offset(ctrl, e, 100)
+        ctrl.update(e, 100)
     # a population crash would send E_T far away; the clamp holds it near history
-    got = update_offset(ctrl, -1.0, 100_000)
+    got = ctrl.update(-1.0, 100_000)
     recent = ctrl.history
     sig = float(np.std(recent[-20:]))
     assert got >= min(recent) - 10 * sig - 1e-12
@@ -109,15 +108,6 @@ def test_fp_weight_neutral_at_mean_energy(exact_case, exact_guiding):
     pop = make_pop(exact_guiding, 60)
     stepped = fp_step(pop, exact_guiding, 1e-3, exact_case.exact_energy, rng)
     assert np.allclose(stepped.weight, 1.0, rtol=1e-12)
-
-
-def test_fp_step_without_metropolis(exact_case, exact_guiding):
-    rng = np.random.default_rng(8)
-    pop = make_pop(exact_guiding, 60)
-    stepped = fp_step(pop, exact_guiding, 1e-3, exact_case.exact_energy, rng,
-                      use_metropolis=False)
-    assert np.allclose(stepped.weight, 1.0, rtol=1e-12)
-    assert not np.array_equal(stepped.r, pop.r)  # pure drift-diffusion moved everyone
 
 
 def test_released_equals_fixed_for_real_guiding(exact_guiding):

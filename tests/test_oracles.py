@@ -4,6 +4,7 @@ import pytest
 from magqmc.guiding import GuidingFunction
 from magqmc.oracles import (
     GridResolutionError,
+    HarmonicLongitudinal,
     grid_eigensolve,
     mc_integral_kernel,
     nuclear_kernel_m0_closed,
@@ -89,6 +90,28 @@ def test_separable_case_exact_energy_and_variance():
     gj = GuidingFunction(jittered.orbitals, jittered.hamiltonian())
     evj = gj.evaluate(r)
     assert np.std(np.real(evj.e_loc)) > 1e-4
+
+
+def test_harmonic_longitudinal_closed_forms():
+    om = 1.7
+    z = np.random.default_rng(9).normal(size=(5, 3))
+    zc = z[..., None]
+    g = (om / np.pi) ** 0.25 * np.exp(-0.5 * om * zc**2)
+    # jitter 0: exactly the oscillator ground state and its derivatives
+    f, f1, f2 = HarmonicLongitudinal(range(3), 4.0, om).longitudinal(z)
+    assert f.shape == f1.shape == f2.shape == (5, 3, 3)
+    for got, want in ((f, g), (f1, -om * zc * g), (f2, (om**2 * zc**2 - om) * g)):
+        assert np.broadcast_to(want, got.shape).tobytes() == got.tobytes()
+    # jitter j: f = g (1 + j om z^2), derivatives against central differences
+    orbs = HarmonicLongitudinal(range(3), 4.0, om, amplitude_jitter=0.3)
+    f, f1, f2 = orbs.longitudinal(z)
+    np.testing.assert_allclose(f, np.broadcast_to(g * (1 + 0.3 * om * zc**2), f.shape),
+                               rtol=1e-14)
+    h = 1e-4
+    fp, fm = orbs.longitudinal(z + h)[0], orbs.longitudinal(z - h)[0]
+    np.testing.assert_allclose(f1, (fp - fm) / (2 * h), rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(f2, (fp - 2 * f + fm) / h**2, rtol=1e-5, atol=1e-6)
+    assert orbs.z_domain == (-8.0 / np.sqrt(om), 8.0 / np.sqrt(om))
 
 
 def test_frequency_validation():

@@ -117,7 +117,7 @@ def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "checkpoint.npz"
 
     def save():
-        iofiles.save_checkpoint(path, "hash", pop, rng, 0, 1, {}, None, "trace")
+        iofiles.save_checkpoint(path, "hash", pop, rng, 0, 1, {}, None)
 
     save()
     before = path.read_bytes()
