@@ -39,7 +39,14 @@ def graded_breakpoints(
             def f(r):
                 return (r - 1.0) / (r**m - 1.0) - target
 
-            ratio = 1.0 + 1e-9 if f(1.0 + 1e-9) < 0 else brentq(f, 1.0 + 1e-9, 4.0)
+            if m == 1 or f(1.0 + 1e-9) < 0:
+                ratio = 1.0 + 1e-9
+            else:
+                # f falls toward -target as r grows; few elements need r > 4
+                hi = 4.0
+                while f(hi) > 0:
+                    hi *= 2.0
+                ratio = brentq(f, 1.0 + 1e-9, hi)
     k = np.arange(1, m + 1)
     pos = (ratio**k - 1.0) / (ratio**m - 1.0) * z_max
     return np.concatenate([-pos[::-1], [0.0], pos])

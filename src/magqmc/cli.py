@@ -109,7 +109,10 @@ def cmd_trace_export(args) -> int:
         name, sep, val = item.partition("=")
         if not sep:
             raise ConfigError([f"--ref expects NAME=KEV, got '{item}'"])
-        refs[name] = float(val)
+        try:
+            refs[name] = float(val)
+        except ValueError:
+            raise ConfigError([f"--ref expects NAME=KEV with a number, got '{item}'"]) from None
     data_path, refs_path = export_trace(args.trace, args.out, refs)
     print(f"wrote {data_path} and {refs_path}")
     return EXIT_OK

@@ -12,9 +12,14 @@ with the nuclear and two-body kernels taken from a KernelTable. The direct
 potential U_m is a vector on the quadrature grid. The exchange is
 assembled straight into the Galerkin space: K_m = sum_k Y_k^T X_{m m_k} Y_k
 with Y_k = (w f_k)[:, None] * B, B the basis values at the quadrature
-nodes, so no nq x nq exchange grid is ever formed. Each iteration reads
-every pair matrix once, and the energy of an iteration comes from the
-same mean field (E_dir = 1/2 sum_k rho_k . U, E_exc = 1/2 sum_k c_k^T K c_k).
+nodes, so no nq x nq exchange grid is ever formed. The quadrature grid is
+mirror-symmetric about z = 0, so every pair kernel K(|z - z'|) on it is
+centrosymmetric: the mean field works on the positive half grid with the
+even and odd image kernels K(|z - z'|) +- K(z + z') and the even and odd
+parts of the densities and of Y_k, which halves both the resident pair
+matrices and the products. Each iteration reads every parity matrix once,
+and the energy of an iteration comes from the same mean field
+(E_dir = 1/2 sum_k rho_k . U, E_exc = 1/2 sum_k c_k^T K c_k).
 Orbitals within a channel are picked by longitudinal node count, not by
 eigenvalue index.
 """
@@ -165,11 +170,15 @@ class OrbitalSet:
 
 
 class MeanFieldWorkspace:
-    """Kernel matrices on the quadrature grid and the Galerkin assembly of F_m.
+    """Kernel matrices on the half quadrature grid and the Galerkin assembly of F_m.
 
     Holds the one-body matrices (S, T, V_m), the nuclear kernels on the
-    grid and one nq x nq direct and exchange matrix per unordered pair of
-    occupied channels.
+    grid and, per unordered pair of occupied channels, the even and odd
+    image kernels of the direct and exchange interaction on the positive
+    half of the grid: four (nq/2, nq/2) matrices, which hold the values of
+    two nq x nq ones in half the memory. The grid must be mirror-symmetric
+    about z = 0 (every ``basis_for_config`` grid is, bit for bit);
+    otherwise :class:`BasisError` is raised.
     """
 
     def __init__(self, basis: SplineBasis, kernels: KernelTable, occupations):
@@ -179,11 +188,22 @@ class MeanFieldWorkspace:
         for k, occ in enumerate(self.occupations):
             self.channels.setdefault(occ.m, []).append(k)
         self.ms = sorted(self.channels)
+        zq = basis.zq
+        self.half = h = len(zq) // 2
+        # only the nodes need the mirror: the folds below read both halves
+        # of rho and Y as they are
+        if len(zq) % 2 or not np.array_equal(zq[:h][::-1], -zq[h:]):
+            raise BasisError("quadrature grid is not mirror-symmetric about z = 0")
         self.s_mat = basis.overlap()
         self.t_mat = basis.kinetic()
-        self.v_quad = {m: kernels.nuclear(m, basis.zq) for m in self.ms}
+        self.v_quad = {m: kernels.nuclear(m, zq) for m in self.ms}
         self.v_mats = {m: basis.potential_matrix(self.v_quad[m]) for m in self.ms}
-        self.d_quad, self.x_quad = kernels.pair_matrices(basis.zq, self.ms)
+        self.d_parity, self.x_parity = kernels.pair_matrices(zq[h:], self.ms)
+
+    def _fold(self, v: np.ndarray):
+        """(v(z) + v(-z), v(z) - v(-z)) on the positive half grid, along axis 0."""
+        pos, neg = v[self.half:], v[self.half - 1::-1]
+        return pos + neg, pos - neg
 
     def mean_field(self, coeffs: np.ndarray):
         """Direct potentials on the quadrature grid and Galerkin exchange matrices.
@@ -192,36 +212,44 @@ class MeanFieldWorkspace:
         ({m: U_m}, {m: K_m}) with U_m(z) = sum_k int D_{m m_k}(z - z') f_k(z')^2
         and K_m = sum_k Y_k^T X_{m m_k} Y_k, Y_k = (w f_k)[:, None] * bq,
         self terms included: their direct and exchange energies cancel
-        identically. Each pair matrix is read once: X_ab multiplies the
-        stacked Y_k of both channels, D_ab both channel densities.
+        identically.
+
+        The densities and the Y_k are folded into their even (s) and odd (d)
+        parts on the half grid, where Y^T X Y = 1/2 (Y_s^T Xe Y_s +
+        Y_d^T Xo Y_d) and U(+-z) = 1/2 (De rho_s +- Do rho_d). Each parity
+        matrix is read once: Xe and Xo multiply the stacked Y_k of both
+        channels, De and Do both channel densities.
         """
         basis = self.basis
         nb = basis.n_funcs
         f_quad = coeffs @ basis.bq.T
-        rho = {m: sum(basis.wq * f_quad[k] ** 2 for k in ks) for m, ks in self.channels.items()}
-        y = {m: np.hstack([(basis.wq * f_quad[k])[:, None] * basis.bq for k in ks])
+        rho = {m: self._fold(sum(basis.wq * f_quad[k] ** 2 for k in ks))
+               for m, ks in self.channels.items()}
+        y = {m: self._fold(np.hstack([(basis.wq * f_quad[k])[:, None] * basis.bq for k in ks]))
              for m, ks in self.channels.items()}
-        udir = {m: np.zeros(len(basis.zq)) for m in self.ms}
+        # (even, odd) halves of U_m, and 2 K_m
+        u = {m: np.zeros((2, self.half)) for m in self.ms}
         kx = {m: np.zeros((nb, nb)) for m in self.ms}
 
-        def fold(yk, xy):
+        def contract(yk, xy):
             # sum_k Y_k^T (X Y_k) over the column blocks k of both
             return sum(yk[:, j:j + nb].T @ xy[:, j:j + nb] for j in range(0, yk.shape[1], nb))
 
-        for (a, b), dmat in self.d_quad.items():
-            xmat = self.x_quad[a, b]
-            if a == b:
-                udir[a] += dmat @ rho[a]
-                kx[a] += fold(y[a], xmat @ y[a])
-                continue
-            u = dmat @ np.column_stack([rho[b], rho[a]])
-            udir[a] += u[:, 0]
-            udir[b] += u[:, 1]
-            xy = xmat @ np.hstack([y[b], y[a]])
-            split = y[b].shape[1]
-            kx[a] += fold(y[b], xy[:, :split])
-            kx[b] += fold(y[a], xy[:, split:])
-        return udir, kx
+        for (a, b), dpar in self.d_parity.items():
+            for p, (dmat, xmat) in enumerate(zip(dpar, self.x_parity[a, b])):
+                if a == b:
+                    u[a][p] += dmat @ rho[a][p]
+                    kx[a] += contract(y[a][p], xmat @ y[a][p])
+                    continue
+                ub = dmat @ np.column_stack([rho[b][p], rho[a][p]])
+                u[a][p] += ub[:, 0]
+                u[b][p] += ub[:, 1]
+                xy = xmat @ np.hstack([y[b][p], y[a][p]])
+                split = y[b][p].shape[1]
+                kx[a] += contract(y[b][p], xy[:, :split])
+                kx[b] += contract(y[a][p], xy[:, split:])
+        udir = {m: 0.5 * np.concatenate([(ue - uo)[::-1], ue + uo]) for m, (ue, uo) in u.items()}
+        return udir, {m: 0.5 * k for m, k in kx.items()}
 
     def fock(self, m: int, udir=None, kx=None) -> np.ndarray:
         """Galerkin Fock matrix T + V_m + U_m - K_m; the bare channel without a field."""

@@ -76,7 +76,8 @@ QUAD_RTOL = 1e-9
 SPLINE_RTOL = 1e-7
 #: zeta rows per exp(-outer(zeta, q)) block, which stays at a few MB
 _ZETA_CHUNK = 256
-#: points per row block of KernelTable.pair_matrices, sized to stay in cache
+#: points (direct and image arguments) per row block of
+#: KernelTable.pair_matrices, sized to stay in cache
 _PAIR_BLOCK = 32768
 
 
@@ -319,29 +320,35 @@ class KernelTable:
         return out if np.ndim(zeta) else float(out)
 
     def pair_matrices(self, z, ms) -> tuple[dict, dict]:
-        """Direct and exchange kernels between all points ``z``, for every pair of ``ms``.
+        """Even and odd image kernels on the half grid ``z``, for every pair of ``ms``.
 
-        Returns ({(a, b): D}, {(a, b): X}) with a <= b and (n, n) matrices
-        equal bit for bit to ``direct(a, b, |z_i - z_j|)`` and
-        ``exchange(a, b, |z_i - z_j|)``, beyond-span tails included. The
-        spline interval of each |z_i - z_j| is found once for all tables,
-        and each table is then one cubic pass, summed in the order PPoly
-        sums it. Only the upper triangle is evaluated, in row blocks of
-        about _PAIR_BLOCK points, and mirrored.
+        On a grid symmetric about 0 whose positive half is ``z``, a pair
+        kernel K(|z - z'|) has one block within a half, K(|z_i - z_j|), and
+        one across, K(z_i + z_j). Returns ({(a, b): (De, Do)}, {(a, b):
+        (Xe, Xo)}) with a <= b and symmetric (n, n) matrices
+        Ke = K(|z_i - z_j|) + K(|z_i + z_j|), Ko = K(|z_i - z_j|) - K(|z_i + z_j|),
+        where each K value equals bit for bit ``direct(a, b, .)`` or
+        ``exchange(a, b, .)``, beyond-span tails included. The spline
+        interval of both arguments is found once for all tables, and each
+        table is then one cubic pass, summed in the order PPoly sums it.
+        Only the upper triangle is evaluated, in row blocks of about
+        _PAIR_BLOCK points, and mirrored.
         """
         z = np.asarray(z, dtype=float)
         n = len(z)
         ms = sorted(set(int(m) for m in ms))
         pairs = [(a, b) for i, a in enumerate(ms) for b in ms[i:]]
-        d = {p: np.empty((n, n)) for p in pairs}
-        x = {p: np.empty((n, n)) for p in pairs}
-        # (coefficients, output, weight of the 1/|zeta| tail)
+        d = {p: (np.empty((n, n)), np.empty((n, n))) for p in pairs}
+        x = {p: (np.empty((n, n)), np.empty((n, n))) for p in pairs}
+        # (coefficients, (even, odd) outputs, weight of the 1/|zeta| tail)
         jobs = ([(self._d_sp[p].c, d[p], 1.0) for p in pairs]
                 + [(self._x_sp[p].c, x[p], float(p[0] == p[1])) for p in pairs])
-        rows = max(1, _PAIR_BLOCK // max(n, 1))
+        rows = max(1, _PAIR_BLOCK // max(2 * n, 1))
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
-            az = np.abs(z[r0:r1, None] - z[None, r0:])
+            zi, zj = z[r0:r1, None], z[None, r0:]
+            # (2, rows, cols): the direct argument, then the image one
+            az = np.abs(np.stack([zi - zj, zi + zj]))
             i = np.clip(np.searchsorted(self.grid, az, side="right") - 1, 0, len(self.grid) - 2)
             s = az - self.grid[i]
             s2 = s * s
@@ -349,15 +356,16 @@ class KernelTable:
             outside = az >= self.span
             inv = 1.0 / np.maximum(az, 1e-300) if outside.any() else None
             tmp = np.empty_like(az)
-            for c, out, tail in jobs:
+            for c, (even, odd), tail in jobs:
                 val = np.take(c[3], i)
                 val += np.multiply(np.take(c[2], i, out=tmp), s, out=tmp)
                 val += np.multiply(np.take(c[1], i, out=tmp), s2, out=tmp)
                 val += np.multiply(np.take(c[0], i, out=tmp), s3, out=tmp)
                 if inv is not None:
                     val = np.where(outside, tail * inv, val)
-                out[r0:r1, r0:] = val
-                out[r0:, r0:r1] = val.T
+                for out, op in ((even, np.add), (odd, np.subtract)):
+                    block = op(val[0], val[1], out=out[r0:r1, r0:])
+                    out[r0:, r0:r1] = block.T
         return d, x
 
     # -- serialization ------------------------------------------------------

@@ -203,6 +203,8 @@ def test_bad_ref_argument(tmp_path, capsys):
     trace.write_text(trace_header("00"))
     assert main(["trace-export", str(trace), "--out", str(tmp_path / "x"),
                  "--ref", "missing-equals"]) == 2
+    assert main(["trace-export", str(trace), "--out", str(tmp_path / "x"),
+                 "--ref", "a=abc"]) == 2
 
 
 def test_oracle_subcommand(capsys):

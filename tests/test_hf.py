@@ -5,6 +5,7 @@ from scipy.linalg import eigh
 from magqmc.bsplines import SplineBasis, graded_breakpoints
 from magqmc.config import Occupation, parse_config_text, with_overrides
 from magqmc.hf import (
+    BasisError,
     MeanFieldWorkspace,
     SCFError,
     count_nodes,
@@ -45,6 +46,17 @@ def test_hydrogen_channel_matches_grid_oracle(hydrogen_cfg, hydrogen_kernels):
     # the oracle must resolve well below the bound it is compared at
     assert res.error_estimate[0] < 1e-8
     assert abs(orb.eigenvalues[0] - res.eigenvalues[0]) < 1e-7
+
+
+@pytest.mark.parametrize("elements", [4, 6])
+def test_few_elements_build_a_symmetric_basis(elements):
+    # so few elements need a growth ratio above 4 to reach the domain edge
+    cfg = parse_config_text(f"z = 1\nbeta = 50\nhf_elements = {elements}\n")
+    bp = basis_for_config(cfg).breakpoints
+    assert len(bp) == 2 * elements + 1
+    assert np.array_equal(bp, -bp[::-1])
+    assert bp[elements + 1] - bp[elements] == pytest.approx(0.25 / cfg.field.gamma**0.5, rel=1e-9)
+    assert bp[-1] == pytest.approx(cfg.hf_domain, rel=1e-12)
 
 
 def test_box_limit_of_channel_solver():
@@ -211,11 +223,22 @@ def test_mean_field_against_grid_reference(repeated_channel, he_kernels):
 def test_workspace_keeps_only_pair_matrices_on_the_grid(repeated_channel):
     ws, _ = repeated_channel
     nq = len(ws.basis.zq)
-    assert sorted(ws.d_quad) == sorted(ws.x_quad) == [(0, 0), (0, 1), (1, 1)]
+    assert sorted(ws.d_parity) == sorted(ws.x_parity) == [(0, 0), (0, 1), (1, 1)]
+    # every pair keeps its (even, odd) image kernels on the half grid, and
+    # nothing nq x nq is resident
+    for mats in (*ws.d_parity.values(), *ws.x_parity.values()):
+        assert [np.shape(a) for a in mats] == [(nq // 2, nq // 2)] * 2
     square = [name for name, val in vars(ws).items()
               if any(np.shape(a) == (nq, nq)
                      for a in (val.values() if isinstance(val, dict) else [val]))]
-    assert sorted(square) == ["d_quad", "x_quad"]
+    assert square == []
+
+
+def test_workspace_rejects_asymmetric_grid(he_kernels):
+    bp = graded_breakpoints(6.0, 8, ratio=1.1)
+    basis = SplineBasis(np.concatenate([bp[:8], 0.5 * bp[8:]]), order=6)
+    with pytest.raises(BasisError, match="mirror-symmetric"):
+        MeanFieldWorkspace(basis, he_kernels, (Occupation(0, 0),))
 
 
 def test_variational_monotonicity_under_refinement(he_cfg, he_kernels):

@@ -126,15 +126,20 @@ def test_pair_matrices_match_point_evaluation(small_table, monkeypatch, block):
 
     monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(4)
-    # grid nodes hit exactly, and separations beyond the span (12) for the tails
-    z = np.concatenate([rng.uniform(-8.0, 8.0, 37), small_table.grid[[0, 3, 250]], [-8.0, 8.0]])
-    dz = np.abs(z[:, None] - z[None, :])
-    assert np.any(dz > small_table.span) and np.any(dz < small_table.span)
+    # a half grid: grid nodes hit exactly, and both the direct and the image
+    # separations reach beyond the span (12) for the tails
+    z = np.concatenate([rng.uniform(0.0, 8.0, 37), small_table.grid[[0, 3, 250]], [8.0, 13.0]])
+    minus = np.abs(z[:, None] - z[None, :])
+    plus = z[:, None] + z[None, :]
+    for sep in (minus, plus):
+        assert np.any(sep > small_table.span) and np.any(sep < small_table.span)
     d, x = small_table.pair_matrices(z, [1, 0])
     assert sorted(d) == sorted(x) == [(0, 0), (0, 1), (1, 1)]
-    for a, b in d:
-        np.testing.assert_allclose(d[a, b], small_table.direct(a, b, dz), rtol=1e-14, atol=0)
-        np.testing.assert_allclose(x[a, b], small_table.exchange(a, b, dz), rtol=1e-14, atol=0)
+    for mats, kernel in ((d, small_table.direct), (x, small_table.exchange)):
+        for (a, b), (even, odd) in mats.items():
+            k_minus, k_plus = kernel(a, b, minus), kernel(a, b, plus)
+            np.testing.assert_allclose(even, k_minus + k_plus, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(odd, k_minus - k_plus, rtol=1e-14, atol=0)
 
 
 def test_too_coarse_grid_reported():
