@@ -3,10 +3,10 @@
 A config file is plain text, one ``key = value`` per line, ``#`` comments.
 Exactly one of ``b_tesla`` / ``beta`` sets the field. Occupations are
 ``m:nu_z`` pairs; the schedule is ``stage:blocks x steps[:equilibration]``
-entries. The keys, their defaults and their checks are defined by
-``parse_config_text`` (through ``config_from_mapping`` and
-``RunConfig.validate``); ``render_config`` writes a configuration back in
-this format, and its output parses to the same configuration.
+entries, each stage at most once. The keys, their defaults and their
+checks are defined by ``parse_config_text`` (through ``config_from_mapping``
+and ``RunConfig.validate``); ``render_config`` writes a configuration back
+in this format, and its output parses to the same configuration.
 """
 
 from __future__ import annotations
@@ -75,6 +75,10 @@ class StageSpec:
                 f"0 <= eq < n_blocks, got {self.equilibration_blocks}"
             )
         return out
+
+    def __str__(self) -> str:
+        """The schedule token ``stage:BLOCKSxSTEPS:EQ``."""
+        return f"{self.stage}:{self.n_blocks}x{self.steps_per_block}:{self.equilibration_blocks}"
 
     @property
     def imaginary_time(self) -> float:
@@ -152,6 +156,10 @@ class RunConfig:
             v.append("schedule must contain at least one stage")
         for spec in self.schedule:
             v.extend(spec.validate())
+        names = [spec.stage for spec in self.schedule]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            v.append(f"schedule repeats stage {', '.join(repeated)}: each stage may appear once")
         if self.hf_order < 3:
             v.append(f"hf_order must be >= 3, got {self.hf_order}")
         if self.hf_elements < 4:
@@ -303,10 +311,7 @@ def config_from_mapping(kv: dict[str, str]) -> RunConfig:
 def render_config(cfg: RunConfig) -> str:
     """Canonical text form; parsing it back reproduces the config exactly."""
     occ = " ".join(f"{o.m}:{o.nu_z}" for o in cfg.occupations)
-    sched = " ".join(
-        f"{s.stage}:{s.n_blocks}x{s.steps_per_block}:{s.equilibration_blocks}"
-        for s in cfg.schedule
-    )
+    sched = " ".join(map(str, cfg.schedule))
     lines = [
         f"z = {cfg.z}",
         f"n_electrons = {cfg.n_electrons}",

@@ -174,25 +174,32 @@ def run_stage(
     dtau: float,
     rng: np.random.Generator,
     control: PopulationControl | None = None,
-    released: bool = False,
-    dtau_metropolis: float | None = None,
     on_block=None,
-    start_block: int = 0,
     prior_stats: list[BlockStats] | None = None,
 ) -> tuple[WalkerPopulation, StageResult]:
-    """Run (or resume) one stage of the schedule, one BlockStats per block."""
+    """Run (or resume) one stage of the schedule, one BlockStats per block.
+
+    The stage's name sets its mode: ``vqmc`` samples |Psi_G|^2 with
+    Metropolis step ``dtau``; ``fpdqmc`` and ``rpdqmc`` diffuse with time
+    step ``dtau`` under ``control``, and ``rpdqmc`` also carries the walker
+    phases. A stage resumes after its ``prior_stats``: the first new block
+    is ``len(prior_stats)``, and a released stage resets the phases only
+    when it starts fresh.
+    """
     stats: list[BlockStats] = list(prior_stats or [])
     kept = [s.e_block for s in stats if not s.equilibration and not s.excluded]
     signal_lost_at = next((s.index for s in stats if s.excluded), None)
     diag = StepDiagnostics()
     warned_acceptance = False
-    if released and start_block == 0:
+    released = spec.stage == "rpdqmc"
+    if spec.stage != "vqmc" and control is None:
+        raise ValueError(f"{spec.stage} needs a PopulationControl")
+    if released and not stats:
         pop = replace(pop, phase=np.zeros(pop.size))
 
-    for blk in range(start_block, spec.n_blocks):
-        if control is None:
-            step = dtau if dtau_metropolis is None else dtau_metropolis
-            pop, e_block, acceptance = vqmc_block(pop, guiding, spec.steps_per_block, step, rng)
+    for blk in range(len(stats), spec.n_blocks):
+        if spec.stage == "vqmc":
+            pop, e_block, acceptance = vqmc_block(pop, guiding, spec.steps_per_block, dtau, rng)
             signal = float("nan")
             e_t = float("nan")
             population = pop.size

@@ -83,11 +83,6 @@ class GuidingEval:
     e_loc: np.ndarray      # (W,) complex local energy
     ok: np.ndarray         # (W,) False on nodes / coincidences
 
-    @property
-    def e_fp(self) -> np.ndarray:
-        """Fixed-phase local energy: the real part."""
-        return np.real(self.e_loc)
-
 
 class GuidingFunction:
     """Slater x Jastrow guiding function bound to a Hamiltonian."""

@@ -165,9 +165,6 @@ class OrbitalSet:
         f, f1, f2 = self.longitudinal(z)
         return f[..., nu], f1[..., nu], f2[..., nu]
 
-    def total_energy(self) -> EnergyValue:
-        return EnergyValue(self.e_total)
-
 
 class MeanFieldWorkspace:
     """Kernel matrices on the half quadrature grid and the Galerkin assembly of F_m.

@@ -14,9 +14,12 @@ checks the format, the checksum and an optional hash guard; a missing,
 truncated, corrupted, outdated or mismatched file raises
 :class:`ArtifactError`. Old formats are refused, never migrated.
 
-Checkpoints store the trace rows once, as JSON; on resume the trace file is
-regenerated from them (header plus :func:`trace_row` of each), byte for
-byte.
+Checkpoints store the trace rows once, as JSON, keyed by stage name, and
+the population control as its dataclass fields; :func:`save_checkpoint`
+and :func:`load_checkpoint` are the only converters, so callers keep
+:class:`BlockStats` and :class:`PopulationControl` objects. On resume the
+trace file is regenerated from the rows (header plus :func:`trace_row` of
+each), byte for byte.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dqmc import PopulationControl
 from .errors import InputError
 from .sampler import BlockStats, WalkerPopulation
 from .units import hartree_to_kev
@@ -184,14 +188,6 @@ def export_trace(trace_path, out_prefix, references: dict[str, float] | None = N
 # checkpoints
 
 
-def stats_to_jsonable(stats: list[BlockStats]) -> list[dict]:
-    return [asdict(s) for s in stats]
-
-
-def stats_from_jsonable(rows: list[dict]) -> list[BlockStats]:
-    return [BlockStats(**row) for row in rows]
-
-
 def save_checkpoint(
     path,
     config_hash: str,
@@ -199,8 +195,8 @@ def save_checkpoint(
     rng: np.random.Generator,
     stage_index: int,
     next_block: int,
-    stage_rows: dict[str, list[dict]],
-    control_state: dict | None,
+    stage_rows: dict[str, list[BlockStats]],
+    control: PopulationControl | None,
     stage_name: str = "",
 ) -> None:
     meta = {
@@ -208,8 +204,8 @@ def save_checkpoint(
         "stage_index": stage_index,
         "stage_name": stage_name,
         "next_block": next_block,
-        "stage_rows": stage_rows,
-        "control": control_state,
+        "stage_rows": {name: [asdict(s) for s in rows] for name, rows in stage_rows.items()},
+        "control": None if control is None else asdict(control),
         "rng_state": rng.bit_generator.state,
     }
     arrays = {"r": pop.r, "weight": pop.weight, "phase": pop.phase, "age": pop.age}
@@ -217,8 +213,14 @@ def save_checkpoint(
 
 
 def load_checkpoint(path, expect_config_hash: str | None = None) -> dict:
-    """The checkpoint's meta fields plus its walker arrays under ``walkers``."""
+    """The checkpoint's meta fields, with ``stage_rows`` as BlockStats and
+    ``control`` as a PopulationControl (or None), plus its walker arrays
+    under ``walkers``."""
     meta, arrays = read_artifact(path, CHECKPOINT_FORMAT, {"config_hash": expect_config_hash})
+    meta["stage_rows"] = {name: [BlockStats(**row) for row in rows]
+                          for name, rows in meta["stage_rows"].items()}
+    if meta["control"] is not None:
+        meta["control"] = PopulationControl(**meta["control"])
     meta["walkers"] = arrays
     return meta
 

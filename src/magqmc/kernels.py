@@ -246,16 +246,10 @@ def graded_grid(span: float, n_points: int, smallest_step: float) -> np.ndarray:
 class GridSpec:
     span: float
     n_points: int = 800
-    smallest_step: float | None = None  # None -> 1e-3 / sqrt(gamma)
 
     def points(self, gamma: float) -> np.ndarray:
-        h0 = self.smallest_step if self.smallest_step else 1e-3 / np.sqrt(gamma)
-        return graded_grid(self.span, self.n_points, h0)
-
-    def digest(self, gamma: float) -> str:
-        h0 = self.smallest_step if self.smallest_step else 1e-3 / np.sqrt(gamma)
-        s = f"span={self.span!r};n={self.n_points};h0={h0!r}"
-        return hashlib.sha256(s.encode()).hexdigest()[:16]
+        """The graded grid, first step 1e-3 / sqrt(gamma)."""
+        return graded_grid(self.span, self.n_points, 1e-3 / np.sqrt(gamma))
 
 
 def _splines(grid: np.ndarray, tabs: dict) -> dict:
@@ -414,14 +408,13 @@ def build_kernel_table(
     z_charge: float,
     ms,
     grid: GridSpec,
-    verify: bool = True,
 ) -> KernelTable:
     """Tabulate all kernels for the occupied-m set on a graded grid.
 
-    One Gauss-Legendre product rule in q gives every table at once. With
-    ``verify`` the two-part gate of the module docstring runs (doubled-panel
-    rule at every grid point, splines at every interval midpoint); a
-    failure raises :class:`KernelAccuracyError` saying which part failed.
+    One Gauss-Legendre product rule in q gives every table at once. The
+    two-part gate of the module docstring then runs (doubled-panel rule at
+    every grid point, splines at every interval midpoint); a failure raises
+    :class:`KernelAccuracyError` saying which part failed.
     """
     ms = sorted(set(int(m) for m in ms))
     pairs = [(a, b) for i, a in enumerate(ms) for b in ms[i:]]
@@ -443,22 +436,21 @@ def build_kernel_table(
         {p: next(cols) for p in pairs},
         {p: next(cols) for p in pairs},
     )
-    if verify:
-        floor = 1e-3 * math.sqrt(gamma)
-        refined = _tabulate(gamma, z_charge, ms, pairs, pts, _doubled(edges))
-        _gate("quadrature", "the rule and the doubled-panel rule disagree at grid points",
-              "raise NODES_PER_PANEL", names, tabs, refined, QUAD_RTOL, floor)
-        splines = np.column_stack(
-            [table.nuclear(m, mids) for m in ms]
-            + [table.direct(a, b, mids) for a, b in pairs]
-            + [table.exchange(a, b, mids) for a, b in pairs]
-        )
-        _gate("interpolation", "the splines miss the rule at interval midpoints",
-              "refine the grid", names, splines, at_mids, SPLINE_RTOL, floor)
+    floor = 1e-3 * math.sqrt(gamma)
+    refined = _tabulate(gamma, z_charge, ms, pairs, pts, _doubled(edges))
+    _gate("quadrature", "the rule and the doubled-panel rule disagree at grid points",
+          "raise NODES_PER_PANEL", names, tabs, refined, QUAD_RTOL, floor)
+    splines = np.column_stack(
+        [table.nuclear(m, mids) for m in ms]
+        + [table.direct(a, b, mids) for a, b in pairs]
+        + [table.exchange(a, b, mids) for a, b in pairs]
+    )
+    _gate("interpolation", "the splines miss the rule at interval midpoints",
+          "refine the grid", names, splines, at_mids, SPLINE_RTOL, floor)
     logger.info(
-        "kernel table: %d m-channels, %d pairs, %d points, %d q-nodes in %.3fs%s",
+        "kernel table: %d m-channels, %d pairs, %d points, %d q-nodes in %.3fs (gate passed)",
         len(ms), len(pairs), len(pts), (len(edges) - 1) * NODES_PER_PANEL,
-        time.perf_counter() - t0, " (gate passed)" if verify else "",
+        time.perf_counter() - t0,
     )
     return table
 

@@ -6,6 +6,15 @@ average (or the current population's mean local energy). Per-block trace
 rows, rolling checkpoints, a final summary and a run manifest land in the
 config's output directory. With a fixed seed a run is bit-reproducible,
 including through kill/resume at any checkpoint.
+
+Stages are keyed by their name, which is unique in a schedule: the trace
+rows, the summary keys, ``--stages`` and the checkpoint all identify a
+stage by it. A checkpoint holds the rows of every stage run so far, the
+walkers, the generator state and the population control of the stage it
+was written in. Resuming it with the same stage at the same position of
+the requested schedule continues that stage after its rows (its
+``prior_stats``); any other schedule takes only the walkers and generator
+state and starts the schedule afresh.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .hf import OrbitalSet, basis_for_config, load_orbitals, save_orbitals, scf
 from .iofiles import ArtifactError
 from .jastrow import JastrowParams
 from .kernels import GridSpec, KernelTable, build_kernel_table
-from .sampler import WalkerPopulation, init_walkers
+from .sampler import BlockStats, WalkerPopulation, init_walkers
 from .units import EnergyValue, hartree_to_kev
 
 logger = logging.getLogger(__name__)
@@ -111,12 +120,6 @@ class PipelineResult:
     def final(self) -> StageResult:
         return self.stages[-1]
 
-    def stage(self, name: str) -> StageResult:
-        for s in self.stages:
-            if s.stage == name:
-                return s
-        raise KeyError(name)
-
 
 def run_pipeline(
     cfg: RunConfig,
@@ -151,9 +154,8 @@ def run_pipeline(
 
     # --- state: fresh or resumed -------------------------------------------
     rng = np.random.default_rng(cfg.seed)
-    stage_rows: dict[str, list[dict]] = {}
-    start_stage, start_block = 0, 0
-    control_state = None
+    stage_rows: dict[str, list[BlockStats]] = {}
+    start_stage, resumed_control = 0, None
     if ck is not None:
         rng.bit_generator.state = ck["rng_state"]
         wk = ck["walkers"]
@@ -161,24 +163,18 @@ def run_pipeline(
             r=wk["r"], weight=wk["weight"], phase=wk["phase"],
             age=wk["age"].astype(int), ev=guiding.evaluate(wk["r"]),
         )
-        ck_stage = ck.get("stage_name")
-        names = [s.stage for s in schedule]
-        if ck_stage in names and ck["stage_index"] < len(schedule) and \
-                schedule[ck["stage_index"]].stage == ck_stage:
-            # same (possibly filtered the same way) schedule: continue in place
-            stage_rows = ck["stage_rows"]
-            start_stage, start_block = ck["stage_index"], ck["next_block"]
-            control_state = ck["control"]
-            logger.info(
-                "resumed at stage %d (%s) block %d from %s",
-                start_stage, ck_stage, start_block, resume,
-            )
+        idx, name = ck["stage_index"], ck["stage_name"]
+        if idx < len(schedule) and schedule[idx].stage == name:
+            # the same stage at the same position: continue it in place
+            stage_rows, start_stage, resumed_control = ck["stage_rows"], idx, ck["control"]
+            logger.info("resumed %s after block %d from %s",
+                        name, len(stage_rows[name]), resume)
         else:
-            # different stage selection: carry the walkers over, start fresh
+            # another stage selection: carry the population over, start fresh
             logger.info(
                 "checkpoint stage %r not at the same position in the requested "
                 "schedule %s; carrying the population over and starting at %s",
-                ck_stage, names, names[0],
+                name, [s.stage for s in schedule], schedule[0].stage,
             )
     else:
         t0 = time.perf_counter()
@@ -186,78 +182,46 @@ def run_pipeline(
         timings["init"] = time.perf_counter() - t0
 
     # the trace so far: its header plus the rows a resumed checkpoint carries
-    done = iofiles.stats_from_jsonable([r for rows in stage_rows.values() for r in rows])
     trace_fh = open(trace_path, "w")
-    trace_fh.write(iofiles.trace_header(cfg_hash) + "".join(map(iofiles.trace_row, done)))
+    trace_fh.write(iofiles.trace_header(cfg_hash) + "".join(
+        iofiles.trace_row(row) for rows in stage_rows.values() for row in rows))
     trace_fh.flush()
 
     def writer(stage_idx):
+        spec = schedule[stage_idx]
+
         def on_block(pop_now, row, control_now):
             trace_fh.write(iofiles.trace_row(row))
             trace_fh.flush()
-            rows = stage_rows.setdefault(row.stage, [])
-            rows.append(iofiles.stats_to_jsonable([row])[0])
+            stage_rows[spec.stage].append(row)
             due = cfg.checkpoint_every and (row.index + 1) % cfg.checkpoint_every == 0
-            if due or row.index + 1 == schedule[stage_idx].n_blocks:
-                cstate = None
-                if control_now is not None:
-                    cstate = {
-                        "e_trial": control_now.e_trial,
-                        "target": control_now.target,
-                        "tau_block": control_now.tau_block,
-                        "gain": control_now.gain,
-                        "history": control_now.history,
-                    }
+            if due or row.index + 1 == spec.n_blocks:
                 iofiles.save_checkpoint(
                     ckpt_path, cfg_hash, pop_now, rng,
                     stage_index=stage_idx, next_block=row.index + 1,
-                    stage_name=schedule[stage_idx].stage,
-                    stage_rows=stage_rows, control_state=cstate,
+                    stage_name=spec.stage, stage_rows=stage_rows, control=control_now,
                 )
         return on_block
 
     results: list[StageResult] = []
     try:
         for idx, spec in enumerate(schedule):
+            prior = stage_rows.setdefault(spec.stage, [])
             if idx < start_stage:
-                prior = iofiles.stats_from_jsonable(stage_rows.get(spec.stage, []))
                 results.append(StageResult.from_stats(spec, prior))
                 continue
-            blk0 = start_block if idx == start_stage else 0
-            prior = iofiles.stats_from_jsonable(stage_rows.get(spec.stage, [])[:blk0])
-            stage_rows[spec.stage] = stage_rows.get(spec.stage, [])[:blk0]
-
-            control = None
-            released = False
-            if spec.stage in ("fpdqmc", "rpdqmc"):
-                released = spec.stage == "rpdqmc"
-                if control_state is not None and idx == start_stage:
-                    control = PopulationControl(
-                        e_trial=control_state["e_trial"],
-                        target=control_state["target"],
-                        tau_block=control_state["tau_block"],
-                        gain=control_state["gain"],
-                        history=list(control_state["history"]),
-                    )
-                else:
-                    e0 = _initial_offset(results, pop)
-                    control = PopulationControl(
-                        e_trial=e0,
-                        target=cfg.n_walkers,
-                        tau_block=spec.steps_per_block * cfg.dtau,
-                    )
+            control = resumed_control if idx == start_stage else None
+            if control is None and spec.stage != "vqmc":
+                control = PopulationControl(
+                    e_trial=_initial_offset(results, pop),
+                    target=cfg.n_walkers,
+                    tau_block=spec.steps_per_block * cfg.dtau,
+                )
+            dtau = cfg.vqmc_step if spec.stage == "vqmc" else cfg.dtau
             t0 = time.perf_counter()
-            pop, res = run_stage(
-                pop, guiding, spec, cfg.dtau, rng,
-                control=control,
-                released=released,
-                dtau_metropolis=cfg.vqmc_step if spec.stage == "vqmc" else None,
-                on_block=writer(idx),
-                start_block=blk0,
-                prior_stats=prior,
-            )
+            pop, res = run_stage(pop, guiding, spec, dtau, rng, control=control,
+                                 on_block=writer(idx), prior_stats=prior)
             timings[spec.stage] = time.perf_counter() - t0
-            control_state = None
             results.append(res)
             logger.info(
                 "%s: <E_B> = %.6f hartree (%.5f keV), sigma = %.4g, population %d",
@@ -312,10 +276,7 @@ def _summary_fields(cfg: RunConfig, hf_energy: EnergyValue, results: list[StageR
         "n_walkers": cfg.n_walkers,
         "dtau": cfg.dtau,
         "spin_zeeman": str(cfg.spin_zeeman_included).lower(),
-        "schedule": " ".join(
-            f"{s.stage}:{s.n_blocks}x{s.steps_per_block}:{s.equilibration_blocks}"
-            for s in cfg.schedule
-        ),
+        "schedule": " ".join(map(str, cfg.schedule)),
         "hf_hartree": hf_energy.hartree,
         "hf_kev": hf_energy.kev,
     }

@@ -92,6 +92,7 @@ RUN_FAILURES = {
     "resume-truncated": (2, "unreadable"),
     "resume-missing": (2, "No such file"),
     "stages-bogus": (2, "no stages to run"),
+    "schedule-repeated": (2, "repeats stage fpdqmc"),
     "build_kernel_table-KernelAccuracyError": (3, "forced failure"),
     "scf-BasisError": (3, "forced failure"),
     "scf-SCFError": (3, "energy history"),
@@ -117,6 +118,8 @@ def test_run_failure_exit_code(cfg_file, tmp_path, capsys, monkeypatch, case):
             ckpt.write_bytes(data[: len(data) // 2])
     elif case == "stages-bogus":
         argv += ["--stages", "bogus"]
+    elif case == "schedule-repeated":
+        argv += ["--set", "schedule=vqmc:2x10:1 fpdqmc:3x10:1 fpdqmc:3x10:1"]
     else:
         target, error = case.split("-")
         errors = {"KernelAccuracyError": KernelAccuracyError, "BasisError": BasisError,

@@ -88,6 +88,12 @@ def test_bad_schedule_token():
         parse_config_text(HE_TEXT + "schedule = vqmc-100-200\n")
 
 
+def test_repeated_stage_rejected():
+    # trace rows, summary keys and --stages name a stage by its name
+    with pytest.raises(ConfigError, match="repeats stage fpdqmc"):
+        parse_config_text(HE_TEXT + "schedule = vqmc:2x10:1 fpdqmc:3x10:1 fpdqmc:3x10:1\n")
+
+
 def test_equilibration_must_be_less_than_blocks():
     with pytest.raises(ConfigError, match="equilibration"):
         parse_config_text(HE_TEXT + "schedule = vqmc:10x5:10\n")

@@ -13,7 +13,7 @@ from magqmc.dqmc import (
 )
 from magqmc.guiding import GuidingFunction
 from magqmc.oracles import separable_test_hamiltonian
-from magqmc.sampler import WalkerPopulation, init_walkers
+from magqmc.sampler import BlockStats, WalkerPopulation, init_walkers
 
 
 @pytest.fixture
@@ -115,18 +115,48 @@ def test_released_equals_fixed_for_real_guiding(exact_guiding):
     spec_fp = StageSpec("fpdqmc", 6, 20, 2)
     spec_rp = StageSpec("rpdqmc", 6, 20, 2)
 
-    def run(spec, released):
+    def run(spec):
         rng = np.random.default_rng(11)
         pop = init_walkers(exact_guiding, 50, rng)
         ctrl = PopulationControl(e_trial=1.0, target=50, tau_block=20 * 1e-3)
-        _, res = run_stage(pop, exact_guiding, spec, 1e-3, rng,
-                           control=ctrl, released=released)
+        _, res = run_stage(pop, exact_guiding, spec, 1e-3, rng, control=ctrl)
         return res
 
-    fp = run(spec_fp, False)
-    rp = run(spec_rp, True)
+    fp = run(spec_fp)
+    rp = run(spec_rp)
     assert [s.e_block for s in rp.stats] == [s.e_block for s in fp.stats]
     assert all(s.rp_signal == pytest.approx(1.0, abs=1e-15) for s in rp.stats)
+
+
+def test_released_stage_resumes_after_prior_rows(exact_guiding):
+    # a fresh released stage zeroes the walker phases; a resumed one starts
+    # at block len(prior_stats) and keeps them (a real guiding function
+    # never moves a phase, so the start value shows in the result)
+    spec = StageSpec("rpdqmc", 3, 5, 1)
+    prior = [BlockStats("rpdqmc", 0, 1.0, math.nan, math.nan, 0.5, 20, 1.0, 1.0, True)]
+
+    def run(prior_stats):
+        rng = np.random.default_rng(11)
+        pop = init_walkers(exact_guiding, 20, rng)
+        pop = WalkerPopulation(pop.r, pop.weight, np.full(20, 0.5), pop.age, pop.ev)
+        ctrl = PopulationControl(e_trial=1.0, target=20, tau_block=5 * 1e-3)
+        return run_stage(pop, exact_guiding, spec, 1e-3, rng, control=ctrl,
+                         prior_stats=prior_stats)
+
+    pop, res = run(None)
+    assert [s.index for s in res.stats] == [0, 1, 2]
+    assert np.all(pop.phase == 0.0)
+    pop, res = run(prior)
+    assert [s.index for s in res.stats] == [0, 1, 2]
+    assert res.stats[0] is prior[0]
+    assert np.all(pop.phase == 0.5)
+
+
+def test_diffusion_stage_needs_population_control(exact_guiding):
+    rng = np.random.default_rng(11)
+    pop = init_walkers(exact_guiding, 10, rng)
+    with pytest.raises(ValueError, match="PopulationControl"):
+        run_stage(pop, exact_guiding, StageSpec("fpdqmc", 2, 5, 1), 1e-3, rng)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from magqmc import iofiles
-from magqmc.config import config_hash, parse_config_text
+from magqmc.config import config_hash, parse_config_text, physics_hash
 from magqmc.iofiles import HeaderMismatch, load_checkpoint, read_summary, read_trace
 from magqmc.pipeline import ensure_kernels, ensure_orbitals, run_pipeline
 from magqmc.sampler import WalkerPopulation
@@ -72,16 +72,38 @@ def test_seed_changes_results(tiny_run, tmp_path):
     assert res1.final.energy != res2.final.energy
 
 
-def test_kill_resume_reproduces_run(tiny_run, tmp_path, monkeypatch):
+def test_tiny_config_hashes_are_stable(tmp_path):
+    # every checkpoint and orbital file is keyed by these digests: a change
+    # to the canonical config text would orphan all of them
+    cfg = tiny_cfg(tmp_path, "hash")
+    assert config_hash(cfg) == "4567e3e226aaccf6"
+    assert physics_hash(cfg) == "ea04e4db96022973"
+
+
+#: resume points: (stage the checkpoint was written in, blocks done in it)
+RESUME_POINTS = {
+    "mid-vqmc": ("vqmc", 2),
+    "vqmc-end": ("vqmc", 4),
+    "mid-fpdqmc": ("fpdqmc", 4),
+    # a stage boundary: rpdqmc starts fresh and resets the walker phases
+    "fpdqmc-end": ("fpdqmc", 6),
+    # the walker phases and the population control carry over
+    "mid-rpdqmc": ("rpdqmc", 4),
+}
+
+
+@pytest.mark.parametrize("point", RESUME_POINTS)
+def test_kill_resume_reproduces_run(tiny_run, tmp_path, monkeypatch, point):
     cfg_ref, res_ref, _ = tiny_run
 
-    # capture the rolling checkpoint mid-FPDQMC (stage 1, after block 4)
+    # capture the rolling checkpoint written at the resume point
+    stage, next_block = RESUME_POINTS[point]
     snap = {}
     real_save = iofiles.save_checkpoint
 
     def spy(path, *args, **kwargs):
         real_save(path, *args, **kwargs)
-        if kwargs.get("stage_name") == "fpdqmc" and kwargs.get("next_block") == 4:
+        if kwargs.get("stage_name") == stage and kwargs.get("next_block") == next_block:
             snap["bytes"] = Path(path).read_bytes()
 
     monkeypatch.setattr(iofiles, "save_checkpoint", spy)
