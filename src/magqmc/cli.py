@@ -81,6 +81,7 @@ def cmd_hf(args) -> int:
           f"{hartree_to_kev(orbitals.e_total):.5f} keV")
     for key, val in orbitals.energy_parts.items():
         print(f"  {key:>15s} = {val:+.6f} hartree")
+    print(f"SCF iterations = {len(orbitals.scf_energies)}")
     return EXIT_OK
 
 
@@ -145,6 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ground states of atoms in neutron-star magnetic fields "
         "(Hartree-Fock guiding functions + diffusion Monte Carlo).",
     )
+    parser.add_argument(
+        "--log-level", choices=("DEBUG", "INFO", "WARNING"), default="INFO",
+        help="logging threshold; DEBUG adds one line per SCF iteration (default INFO)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("print-config", help="echo the fully resolved configuration")
@@ -200,9 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig does nothing once the root logger has a handler, as on a
+    # second main() in one process: set the level on its own
+    logging.getLogger().setLevel(args.log_level)
     try:
         return args.func(args)
     except MagqmcError as exc:

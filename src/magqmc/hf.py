@@ -21,7 +21,8 @@ matrices and the products. Each iteration reads every parity matrix once,
 and the energy of an iteration comes from the same mean field
 (E_dir = 1/2 sum_k rho_k . U, E_exc = 1/2 sum_k c_k^T K c_k).
 Orbitals within a channel are picked by longitudinal node count, not by
-eigenvalue index.
+eigenvalue index. The SCF extrapolates the Galerkin mean field U_m - K_m
+by Pulay's DIIS (Chem. Phys. Lett. 73, 393, 1980), as :func:`scf` says.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh
 
 from .bsplines import SplineBasis, graded_breakpoints
 from .config import Occupation, RunConfig
@@ -42,6 +43,9 @@ from .units import EnergyValue
 logger = logging.getLogger(__name__)
 
 ORBITAL_FORMAT = "magqmc-orbitals/2"
+
+#: DIIS pairs kept, and the Gram condition number above which the oldest go
+DIIS_DEPTH, DIIS_MAX_COND = 6, 1e12
 
 
 class SCFError(SolverError):
@@ -136,10 +140,6 @@ class OrbitalSet:
     _bsplines: tuple = field(default=None, repr=False, compare=False)
 
     @property
-    def n_orbitals(self) -> int:
-        return len(self.occupations)
-
-    @property
     def ms(self) -> np.ndarray:
         return np.array([o.m for o in self.occupations], dtype=int)
 
@@ -159,11 +159,6 @@ class OrbitalSet:
         z = np.asarray(z, dtype=float)
         b0, b1, b2 = self._splines()
         return (np.nan_to_num(b0(z)), np.nan_to_num(b1(z)), np.nan_to_num(b2(z)))
-
-    def eval_longitudinal(self, nu: int, z):
-        """(value, first, second derivative) of orbital ``nu`` at z."""
-        f, f1, f2 = self.longitudinal(z)
-        return f[..., nu], f1[..., nu], f2[..., nu]
 
 
 class MeanFieldWorkspace:
@@ -195,6 +190,7 @@ class MeanFieldWorkspace:
         self.t_mat = basis.kinetic()
         self.v_quad = {m: kernels.nuclear(m, zq) for m in self.ms}
         self.v_mats = {m: basis.potential_matrix(self.v_quad[m]) for m in self.ms}
+        self.lower = np.tril_indices(basis.n_funcs)
         self.d_parity, self.x_parity = kernels.pair_matrices(zq[h:], self.ms)
 
     def _fold(self, v: np.ndarray):
@@ -229,8 +225,9 @@ class MeanFieldWorkspace:
         kx = {m: np.zeros((nb, nb)) for m in self.ms}
 
         def contract(yk, xy):
-            # sum_k Y_k^T (X Y_k) over the column blocks k of both
-            return sum(yk[:, j:j + nb].T @ xy[:, j:j + nb] for j in range(0, yk.shape[1], nb))
+            # sum_k Y_k^T (X Y_k) over the column blocks k of both: one GEMM
+            # over rows ordered (node, orbital)
+            return yk.reshape(-1, nb).T @ xy.reshape(-1, nb)
 
         for (a, b), dpar in self.d_parity.items():
             for p, (dmat, xmat) in enumerate(zip(dpar, self.x_parity[a, b])):
@@ -248,12 +245,17 @@ class MeanFieldWorkspace:
         udir = {m: 0.5 * np.concatenate([(ue - uo)[::-1], ue + uo]) for m, (ue, uo) in u.items()}
         return udir, {m: 0.5 * k for m, k in kx.items()}
 
-    def fock(self, m: int, udir=None, kx=None) -> np.ndarray:
-        """Galerkin Fock matrix T + V_m + U_m - K_m; the bare channel without a field."""
-        h = self.t_mat + self.v_mats[m]
-        if udir is not None:
-            h = h + self.basis.potential_matrix(udir[m]) - kx[m]
-        return h
+    def pack(self, udir, kx) -> np.ndarray:
+        """The Galerkin mean field U_m - K_m, one row per channel in ``ms``:
+        its lower triangle, which is all ``eigh`` reads of a Fock matrix."""
+        return np.array([(self.basis.potential_matrix(udir[m]) - kx[m])[self.lower]
+                         for m in self.ms])
+
+    def fock(self, m: int, field: np.ndarray) -> np.ndarray:
+        """Galerkin Fock matrix T + V_m + U_m - K_m from a field in :meth:`pack` form."""
+        g = np.zeros_like(self.t_mat)
+        g[self.lower] = field[self.ms.index(m)]
+        return self.t_mat + self.v_mats[m] + g + np.tril(g, -1).T
 
     def energy(self, coeffs: np.ndarray, udir, kx):
         """Total-energy pieces (no transverse/spin part) from the mean field
@@ -268,13 +270,8 @@ class MeanFieldWorkspace:
             e_dir += 0.5 * (wq * f_quad[k] ** 2) @ udir[occ.m]
             e_exc += 0.5 * coeffs[k] @ kx[occ.m] @ coeffs[k]
         e_nuc, e_dir, e_exc = float(e_nuc), float(e_dir), float(e_exc)
-        return {
-            "kinetic": e_kin,
-            "nuclear": e_nuc,
-            "direct": e_dir,
-            "exchange": e_exc,
-            "longitudinal": e_kin + e_nuc + e_dir - e_exc,
-        }
+        return {"kinetic": e_kin, "nuclear": e_nuc, "direct": e_dir, "exchange": e_exc,
+                "longitudinal": e_kin + e_nuc + e_dir - e_exc}
 
 
 def scf(
@@ -284,16 +281,17 @@ def scf(
     e_tol: float = 1e-9,
     orb_tol: float = 1e-7,
     max_iter: int = 200,
-    mix: float = 0.7,
 ) -> OrbitalSet:
     """Iterate the longitudinal Fock equations to self-consistency.
 
-    Each iteration solves every channel in the damped mean field, builds the
-    mean field of the new orbitals, takes the energy from it and tests
-    convergence; the new field is then linearly damped into the old one
-    (direct potentials on the grid, exchange in the Galerkin space). On
-    detected energy oscillation the new-field weight is halved. Convergence
-    requires both the energy and the orbitals to settle.
+    Each iteration solves every channel in the input field x (at first
+    x = 0: the bare channels), builds the mean field of the new orbitals,
+    takes the energy from it and tests whether energy and orbitals settled.
+    x and its residual r = (field out) - x are packed Galerkin U_m - K_m
+    (:meth:`MeanFieldWorkspace.pack`). The next x is Pulay's DIIS over the
+    last ``DIIS_DEPTH`` pairs, sum_i c_i (x_i + r_i) with sum_i c_i = 1
+    minimising |sum_i c_i r_i|; while the Gram matrix r_i . r_j has a
+    condition number above ``DIIS_MAX_COND`` the oldest pairs are dropped.
     """
     if basis is None:
         basis = basis_for_config(cfg)
@@ -306,16 +304,14 @@ def scf(
         new_c = np.zeros((n_orb, basis.n_funcs))
         new_e = np.zeros(n_orb)
         for m in ws.ms:
-            h = ws.fock(m, *field)
+            h = ws.fock(m, field)
             want = {cfg.occupations[k].nu_z: k for k in ws.channels[m]}
             n_solve = min(max(want) + 8, basis.n_funcs)
             w, v = solve_channel(basis, h, ws.s_mat, n_solve)
             fine = fine_design @ v
-            found = {}
+            found = {}  # node count -> its lowest column
             for col in range(n_solve):
-                nodes = count_nodes(fine[:, col])
-                if nodes in want and nodes not in found:
-                    found[nodes] = col
+                found.setdefault(count_nodes(fine[:, col]), col)
             missing = sorted(set(want) - set(found))
             if missing:
                 raise SCFError(
@@ -323,20 +319,18 @@ def scf(
                     f"among the lowest {n_solve}", energies)
             for nu_z, k in want.items():
                 col = found[nu_z]
-                vec = v[:, col]
                 peak = np.argmax(np.abs(fine[:, col]))
-                if fine[peak, col] < 0:
-                    vec = -vec
-                new_c[k] = vec
+                new_c[k] = np.sign(fine[peak, col]) * v[:, col]
                 new_e[k] = w[col]
         return new_c, new_e
 
     energies: list[float] = []
-    field = (None, None)  # damped (U_m, K_m); none before the first solve
-    cur_mix = mix
+    x = np.zeros((len(ws.ms), len(ws.lower[0])))
+    xs, rs = [], []  # DIIS history, oldest first: fields in and their residuals
+    gram = np.zeros((0, 0))  # rs[i] . rs[j]
     f_quad = None
     for it in range(max_iter):
-        coeffs, eigvals = solve_all(field)
+        coeffs, eigvals = solve_all(x)
         udir, kx = ws.mean_field(coeffs)
         parts = ws.energy(coeffs, udir, kx)
         energies.append(parts["longitudinal"])
@@ -349,29 +343,33 @@ def scf(
             orb_change = float(np.max(np.sqrt(np.sum(basis.wq * diff**2, axis=1))))
         f_quad = f_quad_new
 
-        if it >= 2:
-            d_now = energies[-1] - energies[-2]
-            d_prev = energies[-2] - energies[-3]
-            if abs(d_now) < e_tol and orb_change < orb_tol:
-                logger.info("scf converged in %d iterations, E=%.10f", it + 1, energies[-1])
-                break
-            if abs(d_now) > abs(d_prev) > e_tol and d_now * d_prev < 0:
-                cur_mix = max(0.05, 0.5 * cur_mix)
-                logger.info("scf oscillation at iter %d; new-field weight -> %.3f", it, cur_mix)
+        r = ws.pack(udir, kx) - x
+        xs.append(x)
+        rs.append(r)
+        gram = np.pad(gram, ((0, 1), (0, 1)))
+        gram[-1] = gram[:, -1] = [np.vdot(q, r) for q in rs]
+        lam = eigvalsh(gram)  # not np.linalg.cond: its SVD adds ~1 MiB of resident LAPACK
+        while len(rs) > DIIS_DEPTH or len(rs) > 1 and lam[0] * DIIS_MAX_COND < lam[-1]:
+            del xs[0], rs[0]
+            gram = gram[1:, 1:]
+            lam = eigvalsh(gram)
+        n = len(rs)
+        bordered = np.block([[gram, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
+        c = np.linalg.solve(bordered, np.eye(n + 1)[n])[:n]
+        x = sum(ci * (xi + ri) for ci, xi, ri in zip(c, xs, rs))
 
-        if field[0] is None:
-            field = (udir, kx)
-        else:
-            field = tuple({m: cur_mix * new[m] + (1 - cur_mix) * old[m] for m in new}
-                          for new, old in zip((udir, kx), field))
+        d_now = energies[-1] - energies[-2] if it else np.nan
+        res_norm = float(np.sqrt(gram[-1, -1]))
+        logger.debug("scf iter %d: E=%.12f dE=%.3e orbital change=%.3e residual=%.3e "
+                     "subspace=%d", it + 1, energies[-1], d_now, orb_change, res_norm, n)
+        if it >= 2 and abs(d_now) < e_tol and orb_change < orb_tol:
+            logger.info("scf converged in %d iterations, E=%.10f", it + 1, energies[-1])
+            break
     else:
-        raise SCFError(
-            f"no SCF convergence after {max_iter} iterations "
-            f"(last dE={energies[-1] - energies[-2]:.3e})", energies)
+        raise SCFError(f"no SCF convergence after {max_iter} iterations (last dE={d_now:.3e}, "
+                       f"residual norm={res_norm:.3e})", energies)
 
-    parts["transverse_spin"] = (
-        0.0 if cfg.spin_zeeman_included else 0.5 * kernels.gamma * n_orb
-    )
+    parts["transverse_spin"] = 0.0 if cfg.spin_zeeman_included else 0.5 * kernels.gamma * n_orb
     e_total = parts["longitudinal"] + parts["transverse_spin"]
     return OrbitalSet(
         basis=basis,
@@ -392,7 +390,8 @@ def hf_total_energy(orbitals: OrbitalSet, kernels: KernelTable) -> EnergyValue:
     """Recompute the total energy functional from the stored orbitals."""
     ws = MeanFieldWorkspace(orbitals.basis, kernels, orbitals.occupations)
     parts = ws.energy(orbitals.coeffs, *ws.mean_field(orbitals.coeffs))
-    extra = 0.0 if orbitals.spin_zeeman_included else 0.5 * orbitals.gamma * orbitals.n_orbitals
+    n_orb = len(orbitals.occupations)
+    extra = 0.0 if orbitals.spin_zeeman_included else 0.5 * orbitals.gamma * n_orb
     return EnergyValue(parts["longitudinal"] + extra)
 
 

@@ -244,6 +244,7 @@ def run_pipeline(
             "summary": str(summary_path),
             "checkpoint": str(ckpt_path),
         },
+        "scf_iterations": len(orbitals.scf_energies),
         "timings_sec": {k: round(v, 3) for k, v in timings.items()},
         "total_sec": round(time.perf_counter() - t_start, 3),
     }

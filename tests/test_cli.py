@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import logging
 import pkgutil
 
 import numpy as np
@@ -64,8 +65,28 @@ def test_kernels_and_hf_commands(cfg_file, capsys):
     assert main(["hf", "--config", str(cfg_file)]) == 0
     out = capsys.readouterr().out
     assert "E_HF" in out and "keV" in out
+    # one electron: the bare channel is self-consistent at the third iteration
+    assert "SCF iterations = 3" in out
     assert main(["hf", "--config", str(cfg_file)]) == 0
-    assert "cached" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "cached" in out and "SCF iterations = 3" in out
+
+
+def test_log_level_option(cfg_file, caplog):
+    root = logging.getLogger()
+    before = root.level
+    try:
+        assert main(["--log-level", "DEBUG", "hf", "--config", str(cfg_file)]) == 0
+        scf_lines = [r for r in caplog.records if r.getMessage().startswith("scf iter")]
+        assert [r.levelno for r in scf_lines] == [logging.DEBUG] * 3
+        # a second call in the same process takes its own level
+        caplog.clear()
+        assert main(["hf", "--config", str(cfg_file), "--force"]) == 0
+        assert root.level == logging.INFO
+        assert not any(r.levelno == logging.DEBUG for r in caplog.records)
+        assert any("scf converged" in r.getMessage() for r in caplog.records)
+    finally:
+        root.setLevel(before)
 
 
 def test_scf_failure_exit_3(cfg_file, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -16,7 +18,9 @@ from magqmc.hf import (
     hf_total_energy,
     solve_channel,
 )
+from magqmc.kernels import build_kernel_table
 from magqmc.oracles import grid_eigensolve, nuclear_kernel_m0_closed
+from magqmc.pipeline import kernel_grid_for
 from magqmc.units import hartree_to_kev
 
 
@@ -100,6 +104,37 @@ def test_single_electron_scf_is_bare_channel(hydrogen_cfg, hydrogen_kernels):
 
 def test_helium_reference_energy(he_orbitals):
     assert hartree_to_kev(he_orbitals.e_total) == pytest.approx(-0.5754, rel=0.01)
+
+
+def test_helium_scf_converges_fast_to_the_same_fixed_point(he_orbitals):
+    # linear damping needs 17 iterations to this energy
+    assert len(he_orbitals.scf_energies) <= 10
+    assert he_orbitals.e_total == pytest.approx(-21.142617841714003, rel=1e-10)
+
+
+def test_excited_carbon_filling_converges_fast():
+    # one electron at nu_z = 1: linear damping needs 35 iterations
+    cfg = parse_config_text(
+        "z = 6\nn_electrons = 6\nb_tesla = 5.0e8\n"
+        "occupations = 0:0 1:0 2:0 3:0 4:0 0:1\n"
+    )
+    kernels = build_kernel_table(
+        cfg.field.beta, cfg.field.gamma, 6.0, range(5), kernel_grid_for(cfg)
+    )
+    orb = scf(cfg, kernels)
+    assert len(orb.scf_energies) <= 16
+    assert orb.e_total == pytest.approx(-272.45821235757, rel=1e-10)
+
+
+def test_scf_logs_every_iteration_at_debug(hydrogen_cfg, hydrogen_kernels, caplog):
+    with caplog.at_level(logging.DEBUG, logger="magqmc.hf"):
+        orb = scf(hydrogen_cfg, hydrogen_kernels)
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(lines) == len(orb.scf_energies)
+    for it, line in enumerate(lines, 1):
+        assert line.startswith(f"scf iter {it}: E=")
+        for key in ("dE=", "orbital change=", "residual=", "subspace="):
+            assert key in line
 
 
 def test_energy_parts_signs(he_orbitals):
@@ -280,9 +315,10 @@ def test_eval_longitudinal_contract(he_orbitals):
     # outside the domain the orbitals vanish
     f_out, f1_out, _ = he_orbitals.longitudinal(np.array([1e3, -1e3]))
     assert np.all(f_out == 0.0) and np.all(f1_out == 0.0)
-    # spec accessor for a single orbital
-    v, d1, d2 = he_orbitals.eval_longitudinal(0, 0.1)
-    assert np.isfinite(v) and np.isfinite(d1) and np.isfinite(d2)
+    # a scalar z gives one row of (f, f', f'')
+    v, d1, d2 = he_orbitals.longitudinal(0.1)
+    assert v.shape == d1.shape == d2.shape == (he_orbitals.coeffs.shape[0],)
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
 
 
 def test_orbital_file_round_trip(tmp_path, he_orbitals):
@@ -319,3 +355,4 @@ def test_scf_failure_carries_history(he_cfg, he_kernels):
     with pytest.raises(SCFError) as err:
         scf(he_cfg, he_kernels, max_iter=2)
     assert len(err.value.energy_history) >= 1
+    assert "residual norm=" in str(err.value)

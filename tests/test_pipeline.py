@@ -1,3 +1,4 @@
+import json
 import shutil
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from magqmc import iofiles
 from magqmc.config import config_hash, parse_config_text, physics_hash
+from magqmc.hf import load_orbitals
 from magqmc.iofiles import HeaderMismatch, load_checkpoint, read_summary, read_trace
 from magqmc.pipeline import ensure_kernels, ensure_orbitals, run_pipeline
 from magqmc.sampler import WalkerPopulation
@@ -43,6 +45,13 @@ def test_artifacts_exist_and_rows_count(tiny_run):
     assert len(rows) == sum(s.n_blocks for s in cfg.schedule)
     stages = [r["stage"] for r in rows]
     assert stages == ["vqmc"] * 4 + ["fpdqmc"] * 6 + ["rpdqmc"] * 6
+
+
+def test_manifest_records_scf_iterations(tiny_run):
+    _, res, _ = tiny_run
+    manifest = json.loads(res.manifest_path.read_text())
+    orbitals = load_orbitals(manifest["artifacts"]["orbitals"])
+    assert manifest["scf_iterations"] == len(orbitals.scf_energies) == 3
 
 
 def test_summary_contents(tiny_run):
