@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -123,6 +124,29 @@ def cmd_oracle(args) -> int:
     # hidden maintenance command: manual spot checks of the test oracles
     from . import oracles
 
+    positive = {"--gamma": args.gamma}
+    if args.what == "grid-eigen":
+        positive["--zmax"] = args.zmax
+        finite = {"--z-charge": args.z_charge}
+        # the coarsest of the oracle's three grids has (points + 1) // 2 - 2 interior nodes
+        bounded = [("--m", args.m, 0, math.inf),
+                   ("--k", args.k, 1, max(1, (args.points + 1) // 2 - 2)),
+                   ("--points", args.points, oracles.MIN_GRID_POINTS, math.inf)]
+    else:
+        finite = {"--zeta": args.zeta}
+        bounded = [("--m", args.m, 0, math.inf), ("--m2", args.m2, 0, math.inf),
+                   ("--samples", args.samples, oracles.MIN_MC_SAMPLES, math.inf)]
+    bad = [f"{flag} must be positive and finite, got {val}"
+           for flag, val in positive.items() if not 0 < val < math.inf]
+    bad += [f"{flag} must be finite, got {val}" for flag, val in finite.items()
+            if not math.isfinite(val)]
+    for flag, val, low, high in bounded:
+        if val < low:
+            bad.append(f"{flag} must be >= {low}, got {val}")
+        elif val > high:
+            bad.append(f"{flag} must be <= {high} here, got {val}")
+    if bad:
+        raise ConfigError(bad)
     if args.what == "grid-eigen":
         from .kernels import nuclear_kernel
 

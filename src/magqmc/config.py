@@ -160,8 +160,10 @@ class RunConfig:
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             v.append(f"schedule repeats stage {', '.join(repeated)}: each stage may appear once")
-        if self.hf_order < 3:
-            v.append(f"hf_order must be >= 3, got {self.hf_order}")
+        if self.hf_order < 5:
+            v.append(f"hf_order must be >= 5, got {self.hf_order}: the local energy needs "
+                     "the orbitals' second derivative, which a spline of degree < 4 lacks "
+                     "at the triple knot at z = 0")
         if self.hf_elements < 4:
             v.append(f"hf_elements must be >= 4, got {self.hf_elements}")
         if v:

@@ -17,8 +17,10 @@ mirror-symmetric about z = 0, so every pair kernel K(|z - z'|) on it is
 centrosymmetric: the mean field works on the positive half grid with the
 even and odd image kernels K(|z - z'|) +- K(z + z') and the even and odd
 parts of the densities and of Y_k, which halves both the resident pair
-matrices and the products. Each iteration reads every parity matrix once,
-and the energy of an iteration comes from the same mean field
+matrices and the products. Both image kernels are symmetric, so one
+(nq/2, nq/2) array per pair and interaction holds the two, one in each
+triangle, and BLAS symm/symv multiplies with either. Each iteration builds
+one mean field, and its energy comes from that same mean field
 (E_dir = 1/2 sum_k rho_k . U, E_exc = 1/2 sum_k c_k^T K c_k).
 Orbitals within a channel are picked by longitudinal node count, not by
 eigenvalue index. The SCF extrapolates the Galerkin mean field U_m - K_m
@@ -37,7 +39,7 @@ from .bsplines import SplineBasis, graded_breakpoints
 from .config import Occupation, RunConfig
 from .errors import SolverError
 from .iofiles import read_artifact, write_artifact
-from .kernels import KernelTable
+from .kernels import KernelTable, image_product
 from .units import EnergyValue
 
 logger = logging.getLogger(__name__)
@@ -167,10 +169,13 @@ class MeanFieldWorkspace:
     Holds the one-body matrices (S, T, V_m), the nuclear kernels on the
     grid and, per unordered pair of occupied channels, the even and odd
     image kernels of the direct and exchange interaction on the positive
-    half of the grid: four (nq/2, nq/2) matrices, which hold the values of
-    two nq x nq ones in half the memory. The grid must be mirror-symmetric
-    about z = 0 (every ``basis_for_config`` grid is, bit for bit);
-    otherwise :class:`BasisError` is raised.
+    half of the grid in the packed form of :meth:`KernelTable.pair_matrices`:
+    one (nq/2, nq/2) array per interaction, the even kernel in its upper
+    triangle and the odd one below, plus one nq/2 diagonal correction. Two
+    such arrays hold the values of two nq x nq matrices in a quarter of the
+    memory. The grid must be mirror-symmetric about z = 0 (every
+    ``basis_for_config`` grid is, bit for bit); otherwise
+    :class:`BasisError` is raised.
     """
 
     def __init__(self, basis: SplineBasis, kernels: KernelTable, occupations):
@@ -191,7 +196,11 @@ class MeanFieldWorkspace:
         self.v_quad = {m: kernels.nuclear(m, zq) for m in self.ms}
         self.v_mats = {m: basis.potential_matrix(self.v_quad[m]) for m in self.ms}
         self.lower = np.tril_indices(basis.n_funcs)
-        self.d_parity, self.x_parity = kernels.pair_matrices(zq[h:], self.ms)
+        self.d_pairs, self.x_pairs = kernels.pair_matrices(zq[h:], self.ms)
+        resident = sum(a.nbytes for pairs in (self.d_pairs, self.x_pairs)
+                       for mats in pairs.values() for a in mats)
+        logger.info("mean-field workspace: %d channel pairs on a %d-node half grid, "
+                    "%.1f MiB of pair kernels", len(self.d_pairs), h, resident / 2**20)
 
     def _fold(self, v: np.ndarray):
         """(v(z) + v(-z), v(z) - v(-z)) on the positive half grid, along axis 0."""
@@ -209,9 +218,9 @@ class MeanFieldWorkspace:
 
         The densities and the Y_k are folded into their even (s) and odd (d)
         parts on the half grid, where Y^T X Y = 1/2 (Y_s^T Xe Y_s +
-        Y_d^T Xo Y_d) and U(+-z) = 1/2 (De rho_s +- Do rho_d). Each parity
-        matrix is read once: Xe and Xo multiply the stacked Y_k of both
-        channels, De and Do both channel densities.
+        Y_d^T Xo Y_d) and U(+-z) = 1/2 (De rho_s +- Do rho_d). Per parity,
+        the exchange array multiplies the stacked Y_k of both channels in
+        one product, and the direct array each channel density.
         """
         basis = self.basis
         nb = basis.n_funcs
@@ -229,16 +238,16 @@ class MeanFieldWorkspace:
             # over rows ordered (node, orbital)
             return yk.reshape(-1, nb).T @ xy.reshape(-1, nb)
 
-        for (a, b), dpar in self.d_parity.items():
-            for p, (dmat, xmat) in enumerate(zip(dpar, self.x_parity[a, b])):
+        for (a, b), (dpack, ddelta) in self.d_pairs.items():
+            xpack, xdelta = self.x_pairs[a, b]
+            for p in (0, 1):
                 if a == b:
-                    u[a][p] += dmat @ rho[a][p]
-                    kx[a] += contract(y[a][p], xmat @ y[a][p])
+                    u[a][p] += image_product(p, dpack, ddelta, rho[a][p])
+                    kx[a] += contract(y[a][p], image_product(p, xpack, xdelta, y[a][p]))
                     continue
-                ub = dmat @ np.column_stack([rho[b][p], rho[a][p]])
-                u[a][p] += ub[:, 0]
-                u[b][p] += ub[:, 1]
-                xy = xmat @ np.hstack([y[b][p], y[a][p]])
+                u[a][p] += image_product(p, dpack, ddelta, rho[b][p])
+                u[b][p] += image_product(p, dpack, ddelta, rho[a][p])
+                xy = image_product(p, xpack, xdelta, np.hstack([y[b][p], y[a][p]]))
                 split = y[b][p].shape[1]
                 kx[a] += contract(y[b][p], xy[:, :split])
                 kx[b] += contract(y[a][p], xy[:, split:])

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, PPoly
+from scipy.linalg.blas import dsymm, dsymv
 from scipy.optimize import brentq
 
 from . import iofiles
@@ -318,23 +319,29 @@ class KernelTable:
 
         On a grid symmetric about 0 whose positive half is ``z``, a pair
         kernel K(|z - z'|) has one block within a half, K(|z_i - z_j|), and
-        one across, K(z_i + z_j). Returns ({(a, b): (De, Do)}, {(a, b):
-        (Xe, Xo)}) with a <= b and symmetric (n, n) matrices
-        Ke = K(|z_i - z_j|) + K(|z_i + z_j|), Ko = K(|z_i - z_j|) - K(|z_i + z_j|),
-        where each K value equals bit for bit ``direct(a, b, .)`` or
-        ``exchange(a, b, .)``, beyond-span tails included. The spline
-        interval of both arguments is found once for all tables, and each
-        table is then one cubic pass, summed in the order PPoly sums it.
-        Only the upper triangle is evaluated, in row blocks of about
-        _PAIR_BLOCK points, and mirrored.
+        one across, K(z_i + z_j). Its even and odd image kernels
+        Ke = K(|z_i - z_j|) + K(|z_i + z_j|) and
+        Ko = K(|z_i - z_j|) - K(|z_i + z_j|) are both symmetric, so one
+        Fortran-order (n, n) array holds the two: Ke in its upper triangle,
+        diagonal included, and Ko strictly below it. Beside it is kept the
+        n-vector delta = diag(Ko) - diag(Ke), so that Ko is the symmetric
+        matrix read from the lower triangle plus diag(delta). Returns
+        ({(a, b): (packed, delta)}, {(a, b): (packed, delta)}) for the
+        direct and the exchange kernels, a <= b. Each K value equals bit
+        for bit ``direct(a, b, .)`` or ``exchange(a, b, .)``, beyond-span
+        tails included. The spline interval of both arguments is found once
+        for all tables, and each table is then one cubic pass, summed in the
+        order PPoly sums it. Only the upper triangle is evaluated, in row
+        blocks of about _PAIR_BLOCK points: Ke is written row-wise, Ko
+        mirrored below the diagonal.
         """
         z = np.asarray(z, dtype=float)
         n = len(z)
         ms = sorted(set(int(m) for m in ms))
         pairs = [(a, b) for i, a in enumerate(ms) for b in ms[i:]]
-        d = {p: (np.empty((n, n)), np.empty((n, n))) for p in pairs}
-        x = {p: (np.empty((n, n)), np.empty((n, n))) for p in pairs}
-        # (coefficients, (even, odd) outputs, weight of the 1/|zeta| tail)
+        d = {p: (np.empty((n, n), order="F"), np.empty(n)) for p in pairs}
+        x = {p: (np.empty((n, n), order="F"), np.empty(n)) for p in pairs}
+        # (coefficients, (packed, delta) outputs, weight of the 1/|zeta| tail)
         jobs = ([(self._d_sp[p].c, d[p], 1.0) for p in pairs]
                 + [(self._x_sp[p].c, x[p], float(p[0] == p[1])) for p in pairs])
         rows = max(1, _PAIR_BLOCK // max(2 * n, 1))
@@ -350,16 +357,20 @@ class KernelTable:
             outside = az >= self.span
             inv = 1.0 / np.maximum(az, 1e-300) if outside.any() else None
             tmp = np.empty_like(az)
-            for c, (even, odd), tail in jobs:
+            # strictly lower triangle and diagonal of the block's leading square
+            below, diag = np.tril_indices(r1 - r0, -1), np.diag_indices(r1 - r0)
+            for c, (packed, delta), tail in jobs:
                 val = np.take(c[3], i)
                 val += np.multiply(np.take(c[2], i, out=tmp), s, out=tmp)
                 val += np.multiply(np.take(c[1], i, out=tmp), s2, out=tmp)
                 val += np.multiply(np.take(c[0], i, out=tmp), s3, out=tmp)
                 if inv is not None:
                     val = np.where(outside, tail * inv, val)
-                for out, op in ((even, np.add), (odd, np.subtract)):
-                    block = op(val[0], val[1], out=out[r0:r1, r0:])
-                    out[r0:, r0:r1] = block.T
+                even = np.add(val[0], val[1], out=packed[r0:r1, r0:])
+                odd = np.subtract(val[0], val[1], out=tmp[0])
+                delta[r0:r1] = odd[diag] - even[diag]
+                packed[r1:, r0:r1] = odd[:, r1 - r0:].T
+                packed[r0:r1, r0:r1][below] = odd[below]
         return d, x
 
     # -- serialization ------------------------------------------------------
@@ -400,6 +411,27 @@ class KernelTable:
                 tabs[kind][key if len(key) > 1 else key[0]] = tab
         return cls(meta["beta"], meta["gamma"], meta["z_charge"], meta["ms"],
                    arrays["grid"], tabs["v"], tabs["d"], tabs["x"])
+
+
+def image_product(parity: int, packed: np.ndarray, delta: np.ndarray, v: np.ndarray):
+    """The even (``parity`` 0) or odd (1) image kernel of a
+    :meth:`KernelTable.pair_matrices` array times the vector or C-order
+    matrix ``v``.
+
+    A vector goes to BLAS symv. A matrix goes to symm as v^T K, whose
+    transpose is returned: v^T is Fortran-order, which the BLAS wrappers
+    take without a copy, and symm on one or two columns would pack the
+    whole kernel on every call. The odd kernel reads the lower triangle,
+    whose diagonal is the even one's, and adds diag(delta) v in place.
+    """
+    if v.ndim == 1:
+        if parity == 0:
+            return dsymv(1.0, packed, v)
+        return dsymv(1.0, packed, v, beta=1.0, y=delta * v, lower=1, overwrite_y=1)
+    vt = v.T
+    if parity == 0:
+        return dsymm(1.0, packed, vt, side=1).T
+    return dsymm(1.0, packed, vt, beta=1.0, c=vt * delta, side=1, lower=1, overwrite_c=1).T
 
 
 def build_kernel_table(

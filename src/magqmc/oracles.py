@@ -20,6 +20,11 @@ from scipy.special import erfcx
 from .errors import SolverError
 
 
+#: the coarsest grid and the smallest sample the oracles accept
+MIN_GRID_POINTS = 1001
+MIN_MC_SAMPLES = 10_000
+
+
 class GridResolutionError(SolverError):
     """The uniform grid does not resolve the potential."""
 
@@ -69,8 +74,8 @@ def grid_eigensolve(potential, z_max: float, n_points: int = 20001, k: int = 1) 
     states, with the walls far out in their exponential tails. Refuses
     visibly under-resolved potentials.
     """
-    if n_points < 1001:
-        raise ValueError("use at least 1001 grid points")
+    if n_points < MIN_GRID_POINTS:
+        raise ValueError(f"use at least {MIN_GRID_POINTS} grid points")
     z1 = np.linspace(-z_max, z_max, n_points)[1:-1]
     v1 = np.asarray(potential(z1), dtype=float)
     dv = np.abs(np.diff(v1))
@@ -135,8 +140,8 @@ def mc_integral_kernel(
     averages the 3D Coulomb interaction at longitudinal separation zeta.
     Returns (estimate, standard error).
     """
-    if n_samples < 10_000:
-        raise ValueError("use at least 1e4 samples")
+    if n_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"use at least {MIN_MC_SAMPLES} samples")
     rng = np.random.default_rng(seed)
 
     def draw(m):

@@ -242,6 +242,29 @@ def test_oracle_subcommand(capsys):
     assert f"+- {res.error_estimate[0]:.1e} truncation + roundoff" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("grid-eigen --gamma -1", "--gamma must be positive and finite, got -1.0"),
+    ("grid-eigen --gamma inf", "--gamma must be positive and finite, got inf"),
+    ("grid-eigen --gamma 2 --points 3", "--points must be >= 1001, got 3"),
+    ("grid-eigen --gamma 2 --zmax 0 --k 0", "--zmax must be positive"),
+    ("grid-eigen --gamma 2 --points 1001 --k 500", "--k must be <= 499 here, got 500"),
+    ("grid-eigen --gamma 2 --z-charge nan", "--z-charge must be finite"),
+    ("kernel-mc --gamma 4 --zeta nan", "--zeta must be finite, got nan"),
+    ("kernel-mc --gamma 4 --samples 0", "--samples must be >= 10000, got 0"),
+    ("kernel-mc --gamma 4 --m -1", "--m must be >= 0, got -1"),
+    ("kernel-mc --gamma 4 --m2 -2", "--m2 must be >= 0, got -2"),
+])
+def test_oracle_bad_arguments_exit_2(capsys, argv, message):
+    assert main(["oracle", *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_hf_order_too_low_exits_2(cfg_file, capsys):
+    assert main(["hf", "--config", str(cfg_file), "--set", "hf_order=4"]) == 2
+    assert "hf_order must be >= 5" in capsys.readouterr().err
+
+
 def test_run_resume_flag(cfg_file, tmp_path, capsys):
     assert main(["run", "--config", str(cfg_file)]) == 0
     capsys.readouterr()

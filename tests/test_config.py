@@ -94,6 +94,15 @@ def test_repeated_stage_rejected():
         parse_config_text(HE_TEXT + "schedule = vqmc:2x10:1 fpdqmc:3x10:1 fpdqmc:3x10:1\n")
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_spline_order_below_five_rejected(order):
+    # below degree 4 a spline has no second derivative across the triple
+    # knot at z = 0, and the local energy takes one
+    with pytest.raises(ConfigError, match="hf_order must be >= 5.*lacks at the triple knot"):
+        parse_config_text(HE_TEXT + f"hf_order = {order}\n")
+    assert parse_config_text(HE_TEXT + "hf_order = 5\n").hf_order == 5
+
+
 def test_equilibration_must_be_less_than_blocks():
     with pytest.raises(ConfigError, match="equilibration"):
         parse_config_text(HE_TEXT + "schedule = vqmc:10x5:10\n")

@@ -255,18 +255,49 @@ def test_mean_field_against_grid_reference(repeated_channel, he_kernels):
     assert parts["exchange"] == pytest.approx(e_exc, rel=1e-12)
 
 
+def _ndarrays(val):
+    """Every ndarray in val, looking into dicts, lists and tuples."""
+    if isinstance(val, np.ndarray):
+        yield val
+    elif isinstance(val, (dict, list, tuple)):
+        for v in val.values() if isinstance(val, dict) else val:
+            yield from _ndarrays(v)
+
+
 def test_workspace_keeps_only_pair_matrices_on_the_grid(repeated_channel):
     ws, _ = repeated_channel
     nq = len(ws.basis.zq)
-    assert sorted(ws.d_parity) == sorted(ws.x_parity) == [(0, 0), (0, 1), (1, 1)]
-    # every pair keeps its (even, odd) image kernels on the half grid, and
-    # nothing nq x nq is resident
-    for mats in (*ws.d_parity.values(), *ws.x_parity.values()):
-        assert [np.shape(a) for a in mats] == [(nq // 2, nq // 2)] * 2
+    h = nq // 2
+    assert sorted(ws.d_pairs) == sorted(ws.x_pairs) == [(0, 0), (0, 1), (1, 1)]
+    # every pair keeps one packed (even, odd) array and its diagonal
+    # correction on the half grid, and nothing nq x nq is resident
+    for packed, delta in (*ws.d_pairs.values(), *ws.x_pairs.values()):
+        assert packed.shape == (h, h) and packed.flags.f_contiguous
+        assert delta.shape == (h,)
     square = [name for name, val in vars(ws).items()
-              if any(np.shape(a) == (nq, nq)
-                     for a in (val.values() if isinstance(val, dict) else [val]))]
+              if any(a.shape == (nq, nq) for a in _ndarrays(val))]
     assert square == []
+
+
+def test_workspace_pair_storage_is_half_the_parity_matrices(repeated_channel):
+    ws, _ = repeated_channel
+    h, n_pairs = ws.half, len(ws.d_pairs)
+    # the one-body matrices and nuclear kernels do not grow with the pairs
+    one_body = {"s_mat", "t_mat", "v_mats", "v_quad", "lower"}
+    rest = sum(a.nbytes for k, v in vars(ws).items() if k not in one_body for a in _ndarrays(v))
+    # two h x h arrays per pair, where the even and odd parity matrices of
+    # the direct and exchange kernels took four, plus O(h)
+    assert rest <= n_pairs * 2 * h * h * 8 + n_pairs * 2 * h * 8
+
+
+def test_workspace_logs_its_resident_size(repeated_channel, he_kernels, caplog):
+    ws, _ = repeated_channel
+    with caplog.at_level(logging.INFO, logger="magqmc.hf"):
+        MeanFieldWorkspace(ws.basis, he_kernels, ws.occupations)
+    mib = 3 * 2 * (ws.half**2 + ws.half) * 8 / 2**20
+    assert [r.getMessage() for r in caplog.records] == [
+        f"mean-field workspace: 3 channel pairs on a {ws.half}-node half grid, "
+        f"{mib:.1f} MiB of pair kernels"]
 
 
 def test_workspace_rejects_asymmetric_grid(he_kernels):

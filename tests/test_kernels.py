@@ -9,6 +9,7 @@ from magqmc.kernels import (
     direct_kernel,
     exchange_kernel,
     graded_grid,
+    image_product,
     nuclear_kernel,
 )
 from magqmc.config import parse_config_text
@@ -120,7 +121,8 @@ def test_table_even_and_tail(small_table):
     assert small_table.exchange(0, 1, far) == 0.0
 
 
-@pytest.mark.parametrize("block", [32768, 50])
+# one row block; one row per block; several 4-row blocks and a 2-row tail
+@pytest.mark.parametrize("block", [32768, 50, 400])
 def test_pair_matrices_match_point_evaluation(small_table, monkeypatch, block):
     import magqmc.kernels as kernels
 
@@ -135,11 +137,33 @@ def test_pair_matrices_match_point_evaluation(small_table, monkeypatch, block):
         assert np.any(sep > small_table.span) and np.any(sep < small_table.span)
     d, x = small_table.pair_matrices(z, [1, 0])
     assert sorted(d) == sorted(x) == [(0, 0), (0, 1), (1, 1)]
+    upper, below = np.triu_indices(len(z)), np.tril_indices(len(z), -1)
     for mats, kernel in ((d, small_table.direct), (x, small_table.exchange)):
-        for (a, b), (even, odd) in mats.items():
+        for (a, b), (packed, delta) in mats.items():
+            assert packed.flags.f_contiguous and delta.shape == z.shape
             k_minus, k_plus = kernel(a, b, minus), kernel(a, b, plus)
-            np.testing.assert_allclose(even, k_minus + k_plus, rtol=1e-14, atol=0)
-            np.testing.assert_allclose(odd, k_minus - k_plus, rtol=1e-14, atol=0)
+            even, odd = k_minus + k_plus, k_minus - k_plus
+            # even kernel in the upper triangle, odd strictly below, and
+            # the diagonal correction that turns one into the other
+            np.testing.assert_allclose(packed[upper], even[upper], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(packed[below], odd[below], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(delta, np.diag(odd) - np.diag(even), rtol=1e-14, atol=0)
+
+
+def test_image_products_match_dense_parity_matrices(small_table):
+    rng = np.random.default_rng(3)
+    z = np.sort(rng.uniform(0.0, 13.0, 60))
+    minus, plus = np.abs(z[:, None] - z[None, :]), z[:, None] + z[None, :]
+    y, v = rng.standard_normal((len(z), 11)), rng.standard_normal(len(z))
+    d, x = small_table.pair_matrices(z, [0, 1])
+    for mats, kernel in ((d, small_table.direct), (x, small_table.exchange)):
+        for (a, b), (packed, delta) in mats.items():
+            k_minus, k_plus = kernel(a, b, minus), kernel(a, b, plus)
+            for parity, dense in enumerate((k_minus + k_plus, k_minus - k_plus)):
+                for arg in (y, v):
+                    want = dense @ arg
+                    got = image_product(parity, packed, delta, arg)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_too_coarse_grid_reported():
