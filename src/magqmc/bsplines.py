@@ -1,19 +1,200 @@
-"""Clamped B-spline basis on a symmetric, geometrically graded 1D mesh.
+"""Clamped B-spline basis on a symmetric, geometrically graded 1D mesh, and
+the piecewise polynomials every spline of the package is evaluated as.
 
 The longitudinal wave functions live on [-L, L] with homogeneous Dirichlet
 ends, elements graded toward z=0 where the smeared potentials have their
 |z| kink. A triple knot at z=0 lowers the basis continuity there to C^2,
 matching the solution's actual smoothness so the spectral convergence of
 the spline order is preserved.
+
+Basis values and derivatives come from the Cox-de Boor recursion
+(:func:`bspline_design`). A spline that is evaluated many times, such as
+an HF orbital or a kernel table, is held as a :class:`PiecewisePolynomial`:
+per-interval power coefficients, found once, then one interval search and
+a few multiply-adds per point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.optimize import brentq
+from scipy.linalg import solve_banded
+
+
+def bisect(f, lo: float, hi: float) -> float:
+    """Root of ``f`` in [lo, hi], to the last bit, by bisection.
+
+    ``f(lo)`` and ``f(hi)`` must not have the same strict sign; otherwise
+    ValueError is raised.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0:
+        return lo
+    if f_hi == 0:
+        return hi
+    if (f_lo > 0) == (f_hi > 0):
+        raise ValueError(f"f({lo}) and f({hi}) have the same sign: no bracketed root")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+
+
+def locate(breakpoints: np.ndarray, z: np.ndarray):
+    """Interval index i with breakpoints[i] <= z < breakpoints[i+1] and the
+    offset s = z - breakpoints[i]. The last interval also takes its right
+    end; points outside are given the nearest end interval."""
+    i = np.clip(np.searchsorted(breakpoints, z, side="right") - 1, 0, len(breakpoints) - 2)
+    return i, z - breakpoints[i]
+
+
+def bspline_design(knots: np.ndarray, degree: int, z, deriv: int = 0) -> np.ndarray:
+    """(z.shape + (n,)) values of the ``deriv``-th derivative of all n
+    B-splines of ``degree`` on ``knots``; 0 outside [knots[0], knots[-1]].
+
+    The interval of each point is found as for :func:`locate` on the knots,
+    so at an interior knot the derivatives are the right-sided ones. The
+    degree - deriv functions nonzero there come from the Cox-de Boor
+    recursion, and each further degree applies the derivative recursion
+    B'_{i,r} = r (B_{i,r-1} / (t_{i+r} - t_i) - B_{i+1,r-1} / (t_{i+r+1} - t_{i+1})).
+    """
+    t, p = np.asarray(knots, dtype=float), degree
+    z = np.asarray(z, dtype=float)
+    zf = z.ravel()
+    n = len(t) - p - 1
+    out = np.zeros((len(zf), n))
+    if deriv > p:
+        return out.reshape(z.shape + (n,))
+    mu = np.clip(np.searchsorted(t, zf, side="right") - 1, p, n - 1)
+    # column j holds the function mu - r + j of the current degree r
+    b = np.ones((len(zf), 1))
+    for r in range(1, p + 1):
+        nxt = np.zeros((len(zf), r + 1))
+        for j in range(r):
+            i = mu - r + 1 + j
+            w = b[:, j] / (t[i + r] - t[i])
+            if r <= p - deriv:  # Cox-de Boor
+                nxt[:, j] += (t[i + r] - zf) * w
+                nxt[:, j + 1] += (zf - t[i]) * w
+            else:  # derivative
+                nxt[:, j] -= r * w
+                nxt[:, j + 1] += r * w
+        b = nxt
+    rows = np.arange(len(zf))[:, None]
+    out[rows, mu[:, None] - p + np.arange(p + 1)] = b
+    out[~((zf >= t[0]) & (zf <= t[-1]))] = 0.0
+    return out.reshape(z.shape + (n,))
+
+
+class PiecewisePolynomial:
+    """Polynomial pieces on the intervals of strictly increasing ``breakpoints``.
+
+    ``coeffs`` has shape (k + 1, len(breakpoints) - 1) + trailing: on
+    interval i, piece ``j`` of the trailing shape is
+    sum_q coeffs[q, i, j] (z - breakpoints[i])^(k - q), highest power first.
+    Evaluation gives z.shape + trailing and is 0 outside the breakpoints.
+    """
+
+    def __init__(self, breakpoints, coeffs):
+        self.x = np.asarray(breakpoints, dtype=float)
+        self.c = np.asarray(coeffs, dtype=float)
+        if self.c.ndim < 2 or self.c.shape[1] != len(self.x) - 1:
+            raise ValueError("coeffs must have shape (k + 1, len(breakpoints) - 1, ...)")
+
+    @classmethod
+    def from_bspline(cls, knots, coeffs, degree: int) -> "PiecewisePolynomial":
+        """The pieces of sum_i coeffs[i] B_i between the distinct knots:
+        coefficient k - d is the right-sided d-th derivative at each
+        interval's left end over d!."""
+        x = np.unique(knots)
+        c = np.asarray(coeffs, dtype=float)
+        pieces = [np.tensordot(bspline_design(knots, degree, x[:-1], d), c, axes=1)
+                  / math.factorial(d) for d in range(degree, -1, -1)]
+        return cls(x, np.stack(pieces))
+
+    @classmethod
+    def cubic_fit(cls, x, y) -> "PiecewisePolynomial":
+        """Not-a-knot cubic interpolant of ``y`` (shape (len(x),) + trailing).
+
+        The same banded system for the node slopes, and the same coefficient
+        formulas, as scipy's ``CubicSpline``; at least 4 points.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = len(x)
+        if n < 4 or y.shape[0] != n:
+            raise ValueError("a not-a-knot cubic fit needs at least 4 points, one y row each")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("x must be strictly increasing")
+        dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        ab = np.zeros((3, n))
+        b = np.empty_like(y)
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[0, 2:] = dx[:-1]
+        ab[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        d = x[2] - x[0]
+        ab[1, 0], ab[0, 1] = dx[1], d
+        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        ab[1, -1], ab[-1, -2] = dx[-2], d
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), ab, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
+                         check_finite=False).reshape(y.shape)
+        # Hermite pieces from the node values and slopes
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        return cls(x, np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])))
+
+    def _pieces(self, z):
+        """For the flattened z: the coefficients of its pieces, shape
+        (k + 1, z.size) + trailing, the offsets broadcast to match, and the
+        mask of points outside."""
+        zf = np.asarray(z, dtype=float).ravel()
+        i, s = locate(self.x, zf)
+        outside = ~((zf >= self.x[0]) & (zf <= self.x[-1]))
+        return self.c[:, i], s.reshape(s.shape + (1,) * (self.c.ndim - 2)), outside
+
+    def _shaped(self, z, val, outside):
+        if outside.any():
+            val[outside] = 0.0
+        return val.reshape(np.shape(z) + self.c.shape[2:])
+
+    def __call__(self, z) -> np.ndarray:
+        """Values, summed in ascending powers of s as scipy's PPoly sums them:
+        c[k] + c[k-1] s + c[k-2] s^2 + ..., each power one product further."""
+        c, s, outside = self._pieces(z)
+        k = len(c) - 1
+        val = c[k]  # c is this call's own gather: summed into in place
+        power = s
+        for q in range(k - 1, -1, -1):
+            val += c[q] * power
+            if q:
+                power = power * s
+        return self._shaped(z, val, outside)
+
+    def derivatives(self, z):
+        """(f, f', f'') from one interval search, by Horner's scheme run on
+        the value and its first two derivatives together."""
+        c, s, outside = self._pieces(z)
+        f = c[0]
+        d1 = np.zeros_like(f)
+        d2 = np.zeros_like(f)
+        for cq in c[1:]:
+            d2 = d2 * s + d1
+            d1 = d1 * s + f
+            f = f * s + cq
+        return tuple(self._shaped(z, v, outside) for v in (f, d1, 2.0 * d2))
 
 
 def graded_breakpoints(
@@ -46,7 +227,7 @@ def graded_breakpoints(
                 hi = 4.0
                 while f(hi) > 0:
                     hi *= 2.0
-                ratio = brentq(f, 1.0 + 1e-9, hi)
+                ratio = bisect(f, 1.0 + 1e-9, hi)
     k = np.arange(1, m + 1)
     pos = (ratio**k - 1.0) / (ratio**m - 1.0) * z_max
     return np.concatenate([-pos[::-1], [0.0], pos])
@@ -98,31 +279,23 @@ class SplineBasis:
             wq.append(0.5 * (b - a) * wg)
         self.zq = np.concatenate(zq)
         self.wq = np.concatenate(wq)
-        self.bq = self._design(self.zq, 0)
-        self.bq1 = self._design(self.zq, 1)
-        self.bq2 = self._design(self.zq, 2)
+        self.bq = self.design_matrix(self.zq, 0)
+        self.bq1 = self.design_matrix(self.zq, 1)
+        self.bq2 = self.design_matrix(self.zq, 2)
 
     # -- evaluation ----------------------------------------------------------
 
-    def _full_spline(self, deriv: int) -> BSpline:
-        n_full = len(self.knots) - self.degree - 1
-        b = BSpline(self.knots, np.eye(n_full), self.degree, extrapolate=False)
-        return b.derivative(deriv) if deriv else b
-
-    def _design(self, z, deriv: int) -> np.ndarray:
-        vals = self._full_spline(deriv)(np.asarray(z, dtype=float))
-        return np.nan_to_num(vals)[..., 1:-1]
-
     def design_matrix(self, z, deriv: int = 0) -> np.ndarray:
         """(len(z), n_funcs) matrix of basis values or derivatives; 0 outside."""
-        return self._design(z, deriv)
+        return bspline_design(self.knots, self.degree, z, deriv)[..., 1:-1]
 
     def partition_of_unity(self, z) -> np.ndarray:
         """Sum over the full (unrestricted) basis; equals 1 strictly inside."""
-        return np.nan_to_num(self._full_spline(0)(np.asarray(z, dtype=float))).sum(axis=-1)
+        return bspline_design(self.knots, self.degree, z).sum(axis=-1)
 
-    def coefficient_spline(self, coeffs: np.ndarray) -> BSpline:
-        """BSpline for Dirichlet-restricted coefficients (possibly a stack).
+    def coefficient_spline(self, coeffs: np.ndarray) -> PiecewisePolynomial:
+        """Piecewise polynomial of Dirichlet-restricted coefficients (possibly
+        a stack); 0 outside the domain.
 
         ``coeffs`` has shape (n_funcs,) or (n_funcs, k); zero boundary
         coefficients are reinserted.
@@ -130,7 +303,7 @@ class SplineBasis:
         c = np.asarray(coeffs, dtype=float)
         pad = np.zeros((1,) + c.shape[1:])
         full = np.concatenate([pad, c, pad], axis=0)
-        return BSpline(self.knots, full, self.degree, extrapolate=False)
+        return PiecewisePolynomial.from_bspline(self.knots, full, self.degree)
 
     # -- Galerkin matrices ----------------------------------------------------
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
@@ -125,7 +126,12 @@ def solve_channel(
 
 @dataclass
 class OrbitalSet:
-    """Converged guiding orbitals plus the total-energy bookkeeping."""
+    """Converged guiding orbitals plus the total-energy bookkeeping.
+
+    The orbitals are stored as B-spline coefficients. On first evaluation
+    they are converted once into per-interval polynomial pieces, from which
+    :meth:`longitudinal` takes f, f' and f'' with one interval search.
+    """
 
     basis: SplineBasis
     beta: float
@@ -139,8 +145,6 @@ class OrbitalSet:
     energy_parts: dict = field(default_factory=dict)
     scf_energies: tuple = ()
 
-    _bsplines: tuple = field(default=None, repr=False, compare=False)
-
     @property
     def ms(self) -> np.ndarray:
         return np.array([o.m for o in self.occupations], dtype=int)
@@ -150,17 +154,13 @@ class OrbitalSet:
         """Longitudinal support of the orbitals: the basis domain."""
         return self.basis.domain
 
-    def _splines(self):
-        if self._bsplines is None:
-            b0 = self.basis.coefficient_spline(self.coeffs.T)
-            object.__setattr__(self, "_bsplines", (b0, b0.derivative(1), b0.derivative(2)))
-        return self._bsplines
+    @cached_property
+    def _pieces(self):
+        return self.basis.coefficient_spline(self.coeffs.T)
 
     def longitudinal(self, z):
         """(f, f', f'') for every orbital, shape z.shape + (n_orb,); 0 outside."""
-        z = np.asarray(z, dtype=float)
-        b0, b1, b2 = self._splines()
-        return (np.nan_to_num(b0(z)), np.nan_to_num(b1(z)), np.nan_to_num(b2(z)))
+        return self._pieces.derivatives(z)
 
 
 class MeanFieldWorkspace:
@@ -218,9 +218,10 @@ class MeanFieldWorkspace:
 
         The densities and the Y_k are folded into their even (s) and odd (d)
         parts on the half grid, where Y^T X Y = 1/2 (Y_s^T Xe Y_s +
-        Y_d^T Xo Y_d) and U(+-z) = 1/2 (De rho_s +- Do rho_d). Per parity,
-        the exchange array multiplies the stacked Y_k of both channels in
-        one product, and the direct array each channel density.
+        Y_d^T Xo Y_d) and U(+-z) = 1/2 (De rho_s +- Do rho_d). Per parity
+        and channel of a pair, the exchange array multiplies the stacked
+        Y_k of the other channel in one product, and the direct array its
+        density.
         """
         basis = self.basis
         nb = basis.n_funcs
@@ -240,17 +241,12 @@ class MeanFieldWorkspace:
 
         for (a, b), (dpack, ddelta) in self.d_pairs.items():
             xpack, xdelta = self.x_pairs[a, b]
+            # the field of channel m from the orbitals of channel k
+            sides = ((a, b),) if a == b else ((a, b), (b, a))
             for p in (0, 1):
-                if a == b:
-                    u[a][p] += image_product(p, dpack, ddelta, rho[a][p])
-                    kx[a] += contract(y[a][p], image_product(p, xpack, xdelta, y[a][p]))
-                    continue
-                u[a][p] += image_product(p, dpack, ddelta, rho[b][p])
-                u[b][p] += image_product(p, dpack, ddelta, rho[a][p])
-                xy = image_product(p, xpack, xdelta, np.hstack([y[b][p], y[a][p]]))
-                split = y[b][p].shape[1]
-                kx[a] += contract(y[b][p], xy[:, :split])
-                kx[b] += contract(y[a][p], xy[:, split:])
+                for m, k in sides:
+                    u[m][p] += image_product(p, dpack, ddelta, rho[k][p])
+                    kx[m] += contract(y[k][p], image_product(p, xpack, xdelta, y[k][p]))
         udir = {m: 0.5 * np.concatenate([(ue - uo)[::-1], ue + uo]) for m, (ue, uo) in u.items()}
         return udir, {m: 0.5 * k for m, k in kx.items()}
 

@@ -128,8 +128,9 @@ def trace_row(stats: BlockStats) -> str:
     )
 
 
-def _read_text_artifact(path, fmt: str, expect_config_hash: str | None) -> list[str]:
-    """Lines of a text artifact below its checked ``# <fmt> config=<hash>`` line."""
+def _read_text_artifact(path, fmt: str, expect_config_hash: str | None) -> list[tuple[int, str]]:
+    """(line number, text) of the non-blank lines of a text artifact below
+    its checked ``# <fmt> config=<hash>`` line."""
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -140,19 +141,34 @@ def _read_text_artifact(path, fmt: str, expect_config_hash: str | None) -> list[
     got = head.split("config=", 1)[1].strip()
     if expect_config_hash is not None and got != expect_config_hash:
         raise HeaderMismatch(f"{path}: config_hash {got} != {expect_config_hash}")
-    return [ln for ln in lines[1:] if ln.strip()]
+    return [(num, ln) for num, ln in enumerate(lines[1:], start=2) if ln.strip()]
 
 
 def read_trace(path, expect_config_hash: str | None = None) -> list[dict]:
-    """Parse a trace CSV back into one dict per block row."""
+    """Parse a trace CSV back into one dict per block row.
+
+    A missing or foreign column line, a row with another number of fields
+    (as a row cut mid-write has) and a non-numeric field raise
+    :class:`ArtifactError` naming the file and line.
+    """
     lines = _read_text_artifact(path, TRACE_FORMAT, expect_config_hash)
-    cols = lines[0].split(",")
+    if not lines or lines[0][1] != TRACE_COLUMNS:
+        where = f"line {lines[0][0]}" if lines else "end of file"
+        raise ArtifactError(f"{path}, {where}: expected the {TRACE_FORMAT} column line")
+    cols = TRACE_COLUMNS.split(",")
     rows = []
-    for ln in lines[1:]:
-        row = dict(zip(cols, ln.split(",")))
-        for key in row:
-            if key != "stage":
-                row[key] = float(row[key])
+    for num, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != len(cols):
+            raise ArtifactError(f"{path}, line {num}: {len(fields)} fields, "
+                                f"expected {len(cols)} (truncated or corrupted row)")
+        row = dict(zip(cols, fields))
+        try:
+            for key in cols:
+                if key != "stage":
+                    row[key] = float(row[key])
+        except ValueError as exc:
+            raise ArtifactError(f"{path}, line {num}: {exc}") from None
         rows.append(row)
     return rows
 
@@ -238,7 +254,7 @@ def write_summary(path, config_hash: str, fields: dict) -> None:
 
 def read_summary(path, expect_config_hash: str | None = None) -> dict:
     out = {}
-    for ln in _read_text_artifact(path, SUMMARY_FORMAT, expect_config_hash):
+    for _, ln in _read_text_artifact(path, SUMMARY_FORMAT, expect_config_hash):
         if not ln.startswith("#"):
             key, _, val = ln.partition("=")
             out[key.strip()] = val.strip()

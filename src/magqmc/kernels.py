@@ -27,7 +27,8 @@ are evaluated once at the nodes, and every table follows from one matrix
 product exp(-outer(zeta, q)) @ (w * F), taken over chunks of zeta.
 
 Tables are sampled on a graded grid (dense near zeta=0 where the kernels
-have their |zeta| kink) and interpolated with cubic splines. Every build
+have their |zeta| kink) and interpolated by not-a-knot cubic splines, held
+as :class:`~magqmc.bsplines.PiecewisePolynomial` pieces. Every build
 passes a two-part accuracy gate:
 
   (i)  quadrature: the rule agrees with the same rule on doubled panels at
@@ -38,8 +39,9 @@ passes a two-part accuracy gate:
 both relative, with a floor of 1e-3 sqrt(gamma) near zeros. A failure
 raises KernelAccuracyError naming the part that failed. The point functions
 nuclear_kernel, direct_kernel and exchange_kernel integrate one kernel
-with adaptive Gauss-Kronrod quadrature over the same cutoff; they are the
-independent reference for tests and oracles, not the build path.
+with adaptive Gauss-Kronrod quadrature (scipy's ``quad``) over the same
+cutoff; they are the independent reference for tests and oracles, not the
+build path, so ``quad`` is imported only when one of them runs.
 """
 
 from __future__ import annotations
@@ -51,12 +53,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg.blas import dsymm, dsymv
-from scipy.optimize import brentq
 
 from . import iofiles
+from .bsplines import PiecewisePolynomial, bisect, locate
 from .errors import SolverError
 from .landau import form_factor, mixed_form_factor
 
@@ -100,7 +100,7 @@ def _q_cutoff(gamma: float, degree: int, rate: float) -> float:
         hi = t_peak + CUTOFF_EFOLDS / rate
         while f(hi) < 0:
             hi *= 2.0
-        t_cut = brentq(f, t_peak, hi)
+        t_cut = bisect(f, t_peak, hi)
     return math.sqrt(2.0 * gamma * t_cut)
 
 
@@ -116,6 +116,9 @@ def _pair_cutoff(gamma: float, m1: int, m2: int) -> float:
 
 def _lipschitz_integral(sq, zeta: float, qmax: float) -> tuple[float, float]:
     """integral of sq(q) * exp(-q |zeta|) over [0, qmax]; returns (value, abserr)."""
+    # the reference path only: the build never loads scipy.integrate
+    from scipy.integrate import quad
+
     az = abs(zeta)
     pts = None
     if az * qmax > 10.0:
@@ -238,7 +241,7 @@ def graded_grid(span: float, n_points: int, smallest_step: float) -> np.ndarray:
     def f(a):
         return np.expm1(a) / a - target
 
-    a = brentq(f, 1e-8, 200.0)
+    a = bisect(f, 1e-8, 200.0)
     t = np.linspace(0.0, 1.0, n_points)
     return span * np.expm1(a * t) / np.expm1(a)
 
@@ -257,8 +260,8 @@ def _splines(grid: np.ndarray, tabs: dict) -> dict:
     """One cubic spline per table, cut out of a single multi-column fit."""
     if not tabs:
         return {}
-    fit = CubicSpline(grid, np.column_stack(list(tabs.values())))
-    return {k: PPoly.construct_fast(np.ascontiguousarray(fit.c[..., j]), fit.x)
+    fit = PiecewisePolynomial.cubic_fit(grid, np.column_stack(list(tabs.values())))
+    return {k: PiecewisePolynomial(grid, np.ascontiguousarray(fit.c[..., j]))
             for j, k in enumerate(tabs)}
 
 
@@ -331,9 +334,9 @@ class KernelTable:
         for bit ``direct(a, b, .)`` or ``exchange(a, b, .)``, beyond-span
         tails included. The spline interval of both arguments is found once
         for all tables, and each table is then one cubic pass, summed in the
-        order PPoly sums it. Only the upper triangle is evaluated, in row
-        blocks of about _PAIR_BLOCK points: Ke is written row-wise, Ko
-        mirrored below the diagonal.
+        order a :class:`~magqmc.bsplines.PiecewisePolynomial` sums it. Only
+        the upper triangle is evaluated, in row blocks of about _PAIR_BLOCK
+        points: Ke is written row-wise, Ko mirrored below the diagonal.
         """
         z = np.asarray(z, dtype=float)
         n = len(z)
@@ -350,8 +353,7 @@ class KernelTable:
             zi, zj = z[r0:r1, None], z[None, r0:]
             # (2, rows, cols): the direct argument, then the image one
             az = np.abs(np.stack([zi - zj, zi + zj]))
-            i = np.clip(np.searchsorted(self.grid, az, side="right") - 1, 0, len(self.grid) - 2)
-            s = az - self.grid[i]
+            i, s = locate(self.grid, az)
             s2 = s * s
             s3 = s2 * s
             outside = az >= self.span

@@ -1,7 +1,12 @@
 import importlib
 import inspect
+import json
 import logging
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +172,22 @@ def test_every_error_class_has_an_exit_code():
         assert cls.exit_code in (2, 3, 4), cls
 
 
+def test_runtime_imports_no_scipy_interpolate_optimize_integrate():
+    # each would add megabytes to every run; the reference kernels import
+    # scipy.integrate only when called
+    import magqmc
+
+    code = ("import json, sys, magqmc, magqmc.cli, magqmc.oracles; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))")
+    src = str(Path(magqmc.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    loaded = {".".join(m.split(".")[:2]) for m in json.loads(out)}
+    assert "scipy.linalg" in loaded
+    assert not {"scipy.interpolate", "scipy.optimize", "scipy.integrate"} & loaded
+
+
 def test_hf_solver_failure_exit_3(cfg_file, capsys, monkeypatch):
     import magqmc.pipeline as pl
 
@@ -220,6 +241,31 @@ def test_trace_export_empty_trace(tmp_path):
     assert main(["trace-export", str(trace), "--out", str(tmp_path / "e")]) == 0
     lines = (tmp_path / "e.dat").read_text().splitlines()
     assert len(lines) == 2  # headers only
+
+
+def _damaged_trace(damage: str) -> str:
+    rows = [trace_row(BlockStats(stage="vqmc", index=b, e_block=-1.5, e_avg=-1.5, sigma=0.1,
+                                 acceptance=0.9, population=50, e_trial=float("nan"),
+                                 rp_signal=1.0, equilibration=False)) for b in range(3)]
+    if damage == "cut":  # the last row cut mid-write
+        rows[-1] = rows[-1][: len(rows[-1]) // 2]
+    elif damage == "text":
+        rows[1] = rows[1].replace(",-1.5,", ",abc,", 1)
+    else:  # only the format line
+        return trace_header("cafe").splitlines()[0] + "\n"
+    return trace_header("cafe") + "".join(rows)
+
+
+@pytest.mark.parametrize("damage, where", [
+    ("cut", "line 5: 6 fields, expected 13"),
+    ("text", "line 4: could not convert string to float: 'abc'"),
+    ("format-line-only", "end of file: expected the magqmc-trace/1 column line"),
+], ids=["cut", "text", "format-line-only"])
+def test_trace_export_damaged_trace_exits_2(tmp_path, capsys, damage, where):
+    trace = tmp_path / "t.csv"
+    trace.write_text(_damaged_trace(damage))
+    assert main(["trace-export", str(trace), "--out", str(tmp_path / "x")]) == 2
+    assert f"{trace}, {where}" in capsys.readouterr().err
 
 
 def test_bad_ref_argument(tmp_path, capsys):

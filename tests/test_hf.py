@@ -352,6 +352,25 @@ def test_eval_longitudinal_contract(he_orbitals):
     assert np.all(np.isfinite(v)) and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
 
 
+def test_longitudinal_matches_scipy_bspline(he_orbitals):
+    # the scipy evaluation the polynomial pieces replaced
+    from scipy.interpolate import BSpline
+
+    basis = he_orbitals.basis
+    c = he_orbitals.coeffs.T
+    pad = np.zeros((1, c.shape[1]))
+    ref = BSpline(basis.knots, np.concatenate([pad, c, pad]), basis.degree, extrapolate=False)
+    lo, hi = basis.domain
+    z = np.concatenate([np.linspace(lo, hi, 2001), basis.breakpoints, [lo - 1.0, hi + 1.0]])
+    got = he_orbitals.longitudinal(z.reshape(-1, 2))
+    for d, g in enumerate(got):
+        want = np.nan_to_num(ref.derivative(d)(z) if d else ref(z))
+        assert g.shape == (len(z) // 2, 2, c.shape[1])
+        g = g.reshape(want.shape)
+        assert np.all(np.abs(g - want) <= 1e-12 * np.abs(want).max(axis=0))
+        assert np.all(g[-2:] == 0.0)
+
+
 def test_orbital_file_round_trip(tmp_path, he_orbitals):
     path = tmp_path / "orb.npz"
     save_orbitals(path, he_orbitals, physics_hash="abc123", config_hash="run1")
