@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Subcommands: ``kernels`` (build/cache the interaction tables), ``hf``
+Subcommands: ``kernels`` (build/cache the q rule and X splines), ``hf``
 (self-consistent orbitals + adiabatic energy), ``run`` (full pipeline),
 ``trace-export`` (plot-ready files from a trace), ``print-config`` (echo
 the resolved configuration). Exit codes: 0 success, 2 bad input (a
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.set_defaults(func=cmd_print_config)
 
-    p = sub.add_parser("kernels", help="build and cache the 1D interaction kernels")
+    p = sub.add_parser("kernels", help="build and cache the 1D kernels: the q rule and X splines")
     _add_config_args(p)
     p.add_argument("--force", action="store_true", help="rebuild even on cache hit")
     p.set_defaults(func=cmd_kernels)

@@ -232,14 +232,14 @@ def run_stage(
             population = pop.size
             e_t = control.update(e_block, population)
 
-        if not warned_acceptance and (acceptance < 0.01 or acceptance > 0.99):
+        # near-unit acceptance is what small-dtau diffusion wants, not vqmc
+        too_high = spec.stage == "vqmc" and acceptance > 0.99
+        if not warned_acceptance and (acceptance < 0.01 or too_high):
             warned_acceptance = True
-            logger.warning(
-                "%s acceptance %.1f%% in block %d is pathological; %s the "
-                "Metropolis step (dtau_metropolis for the variational stage)",
-                spec.stage, 100 * acceptance, blk,
-                "increase" if acceptance > 0.99 else "decrease",
-            )
+            logger.warning("%s acceptance %.1f%% in block %d is pathological; %s %s",
+                           spec.stage, 100 * acceptance, blk,
+                           "increase" if too_high else "decrease",
+                           "dtau_metropolis" if spec.stage == "vqmc" else "dtau")
         equil = blk < spec.equilibration_blocks
         excluded = False
         if released and signal_lost_at is None and not math.isnan(signal) and signal < SIGNAL_FLOOR:

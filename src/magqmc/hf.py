@@ -8,20 +8,16 @@ the m-channel is
 
     F_m = -1/2 d^2/dz^2 + V_m(z) + U_m(z) - K_m,
 
-with the nuclear and two-body kernels taken from a KernelTable. The direct
-potential U_m is a vector on the quadrature grid. The exchange is
-assembled straight into the Galerkin space: K_m = sum_k Y_k^T X_{m m_k} Y_k
-with Y_k = (w f_k)[:, None] * B, B the basis values at the quadrature
-nodes, so no nq x nq exchange grid is ever formed. The quadrature grid is
-mirror-symmetric about z = 0, so every pair kernel K(|z - z'|) on it is
-centrosymmetric: the mean field works on the positive half grid with the
-even and odd image kernels K(|z - z'|) +- K(z + z') and the even and odd
-parts of the densities and of Y_k, which halves both the resident pair
-matrices and the products. Both image kernels are symmetric, so one
-(nq/2, nq/2) array per pair and interaction holds the two, one in each
-triangle, and BLAS symm/symv multiplies with either. Each iteration builds
-one mean field, and its energy comes from that same mean field
-(E_dir = 1/2 sum_k rho_k . U, E_exc = 1/2 sum_k c_k^T K c_k).
+with the kernels taken from a KernelTable. V_m and U_m are vectors on the
+quadrature grid, straight from the table's q rule; U_m has no pair matrix,
+so the direct term costs the same for any filling. The exchange goes
+straight into the Galerkin space: K_m = sum_k Y_k^T X_{m m_k} Y_k, with
+Y_k = (w f_k)[:, None] * B and B the basis values at the quadrature nodes.
+The grid is mirror-symmetric about z = 0, so K_m takes the even and odd
+image kernels X(|z - z'|) +- X(z + z') on the positive half grid, one
+packed (nq/2, nq/2) array per channel pair for BLAS symm, and the even and
+odd parts of Y_k. Each iteration builds one mean field, and its energy comes
+from it (E_dir = 1/2 sum_k rho_k . U, E_exc = 1/2 sum_k c_k^T K c_k).
 Orbitals within a channel are picked by longitudinal node count, not by
 eigenvalue index. The SCF extrapolates the Galerkin mean field U_m - K_m
 by Pulay's DIIS (Chem. Phys. Lett. 73, 393, 1980), as :func:`scf` says.
@@ -164,18 +160,15 @@ class OrbitalSet:
 
 
 class MeanFieldWorkspace:
-    """Kernel matrices on the half quadrature grid and the Galerkin assembly of F_m.
+    """Exchange matrices on the half quadrature grid and the Galerkin assembly of F_m.
 
     Holds the one-body matrices (S, T, V_m), the nuclear kernels on the
-    grid and, per unordered pair of occupied channels, the even and odd
-    image kernels of the direct and exchange interaction on the positive
-    half of the grid in the packed form of :meth:`KernelTable.pair_matrices`:
-    one (nq/2, nq/2) array per interaction, the even kernel in its upper
-    triangle and the odd one below, plus one nq/2 diagonal correction. Two
-    such arrays hold the values of two nq x nq matrices in a quarter of the
-    memory. The grid must be mirror-symmetric about z = 0 (every
-    ``basis_for_config`` grid is, bit for bit); otherwise
-    :class:`BasisError` is raised.
+    grid, the map from channel densities to direct potentials, and per
+    unordered pair of occupied channels the packed even and odd image
+    exchange kernels of :meth:`KernelTable.pair_matrices`: the values of
+    one nq x nq matrix in a quarter of the memory. The grid must be
+    mirror-symmetric about z = 0 (every ``basis_for_config`` grid is, bit
+    for bit); otherwise :class:`BasisError` is raised.
     """
 
     def __init__(self, basis: SplineBasis, kernels: KernelTable, occupations):
@@ -187,8 +180,7 @@ class MeanFieldWorkspace:
         self.ms = sorted(self.channels)
         zq = basis.zq
         self.half = h = len(zq) // 2
-        # only the nodes need the mirror: the folds below read both halves
-        # of rho and Y as they are
+        # only the nodes need the mirror: the fold reads both halves of Y as they are
         if len(zq) % 2 or not np.array_equal(zq[:h][::-1], -zq[h:]):
             raise BasisError("quadrature grid is not mirror-symmetric about z = 0")
         self.s_mat = basis.overlap()
@@ -196,11 +188,11 @@ class MeanFieldWorkspace:
         self.v_quad = {m: kernels.nuclear(m, zq) for m in self.ms}
         self.v_mats = {m: basis.potential_matrix(self.v_quad[m]) for m in self.ms}
         self.lower = np.tril_indices(basis.n_funcs)
-        self.d_pairs, self.x_pairs = kernels.pair_matrices(zq[h:], self.ms)
-        resident = sum(a.nbytes for pairs in (self.d_pairs, self.x_pairs)
-                       for mats in pairs.values() for a in mats)
+        self.direct_potentials = kernels.direct_potentials(zq)
+        self.x_pairs = kernels.pair_matrices(zq[h:], self.ms)
+        resident = sum(a.nbytes for mats in self.x_pairs.values() for a in mats)
         logger.info("mean-field workspace: %d channel pairs on a %d-node half grid, "
-                    "%.1f MiB of pair kernels", len(self.d_pairs), h, resident / 2**20)
+                    "%.1f MiB of exchange kernels", len(self.x_pairs), h, resident / 2**20)
 
     def _fold(self, v: np.ndarray):
         """(v(z) + v(-z), v(z) - v(-z)) on the positive half grid, along axis 0."""
@@ -213,42 +205,34 @@ class MeanFieldWorkspace:
         ``coeffs[k]`` holds the basis coefficients of orbital k. Returns
         ({m: U_m}, {m: K_m}) with U_m(z) = sum_k int D_{m m_k}(z - z') f_k(z')^2
         and K_m = sum_k Y_k^T X_{m m_k} Y_k, Y_k = (w f_k)[:, None] * bq,
-        self terms included: their direct and exchange energies cancel
-        identically.
+        self terms included: D_mm and X_mm both come from the q rule, so
+        their direct and exchange energies cancel to rounding.
 
-        The densities and the Y_k are folded into their even (s) and odd (d)
-        parts on the half grid, where Y^T X Y = 1/2 (Y_s^T Xe Y_s +
-        Y_d^T Xo Y_d) and U(+-z) = 1/2 (De rho_s +- Do rho_d). Per parity
-        and channel of a pair, the exchange array multiplies the stacked
-        Y_k of the other channel in one product, and the direct array its
-        density.
+        The Y_k are folded into their even (s) and odd (d) parts on the half
+        grid, where Y^T X Y = 1/2 (Y_s^T Xe Y_s + Y_d^T Xo Y_d). Per parity
+        and channel of a pair, the exchange array multiplies the stacked Y_k
+        of the other channel in one product.
         """
         basis = self.basis
         nb = basis.n_funcs
         f_quad = coeffs @ basis.bq.T
-        rho = {m: self._fold(sum(basis.wq * f_quad[k] ** 2 for k in ks))
-               for m, ks in self.channels.items()}
+        rho = {m: sum(basis.wq * f_quad[k] ** 2 for k in ks) for m, ks in self.channels.items()}
         y = {m: self._fold(np.hstack([(basis.wq * f_quad[k])[:, None] * basis.bq for k in ks]))
              for m, ks in self.channels.items()}
-        # (even, odd) halves of U_m, and 2 K_m
-        u = {m: np.zeros((2, self.half)) for m in self.ms}
-        kx = {m: np.zeros((nb, nb)) for m in self.ms}
+        kx = {m: np.zeros((nb, nb)) for m in self.ms}  # 2 K_m
 
         def contract(yk, xy):
             # sum_k Y_k^T (X Y_k) over the column blocks k of both: one GEMM
             # over rows ordered (node, orbital)
             return yk.reshape(-1, nb).T @ xy.reshape(-1, nb)
 
-        for (a, b), (dpack, ddelta) in self.d_pairs.items():
-            xpack, xdelta = self.x_pairs[a, b]
+        for (a, b), (packed, delta) in self.x_pairs.items():
             # the field of channel m from the orbitals of channel k
             sides = ((a, b),) if a == b else ((a, b), (b, a))
             for p in (0, 1):
                 for m, k in sides:
-                    u[m][p] += image_product(p, dpack, ddelta, rho[k][p])
-                    kx[m] += contract(y[k][p], image_product(p, xpack, xdelta, y[k][p]))
-        udir = {m: 0.5 * np.concatenate([(ue - uo)[::-1], ue + uo]) for m, (ue, uo) in u.items()}
-        return udir, {m: 0.5 * k for m, k in kx.items()}
+                    kx[m] += contract(y[k][p], image_product(p, packed, delta, y[k][p]))
+        return self.direct_potentials(rho), {m: 0.5 * k for m, k in kx.items()}
 
     def pack(self, udir, kx) -> np.ndarray:
         """The Galerkin mean field U_m - K_m, one row per channel in ``ms``:

@@ -8,7 +8,7 @@ reduces them exactly to 1D integrals via the Lipschitz/Hankel identity
     D_mm'(zeta)  =  int dq S_m(q) S_m'(q) exp(-q |zeta|)     (direct)
     X_mm'(zeta)  =  int dq T_mm'(q)^2 exp(-q |zeta|)         (exchange)
 
-with the form factors from the landau module.
+with the form factors from the landau module; T_mm = S_m, so X_mm = D_mm.
 
 Cutoff model. In t = q^2/(2 gamma) each integrand is a polynomial times an
 exponential: degree m with exp(-t) for V_m, degree m+m' with exp(-2t) for
@@ -18,30 +18,22 @@ the neglected tail is then at most 2.2e-17 of the kernel at zeta=0 (checked
 on a sample of V, D and X with m, m' <= 25). A cutoff that ignores the
 degree cuts V_m(0) short by up to 1.9e-6 relative at m = 10.
 
-Tabulation. All tables of a build share one composite Gauss-Legendre rule
-in q: geometric panels toward q = 0, the smallest one sized from the table
-span so the exp(-q zeta) boundary layer of the largest zeta is resolved,
-then uniform panels, sized from the highest polynomial degree, out to the
-largest cutoff. The form-factor columns F(q) (-Z S_m, S_m S_m', T_mm'^2)
-are evaluated once at the nodes, and every table follows from one matrix
-product exp(-outer(zeta, q)) @ (w * F), taken over chunks of zeta.
+Rule + X splines. A table's kernels share one composite Gauss-Legendre
+rule in q (geometric panels toward q = 0 from 1/span, then uniform ones to
+the largest cutoff), so each is K(zeta) = sum_j w_j F(q_j) exp(-q_j |zeta|).
+V, D and X_mm come straight from it. Only X_mm' with m < m', which the
+exchange needs over every pair of grid points, is tabulated on a graded
+grid (dense near the |zeta| kink at 0) and interpolated by not-a-knot cubic
+splines. A build passes a two-part gate, relative with a floor of
+1e-3 sqrt(gamma): (i) for every V, D and X the rule agrees with the same
+rule on doubled panels at every grid point to QUAD_RTOL; (ii) the X splines
+agree with the rule at every interval midpoint to SPLINE_RTOL. A failure
+raises KernelAccuracyError naming the part that failed.
 
-Tables are sampled on a graded grid (dense near zeta=0 where the kernels
-have their |zeta| kink) and interpolated by not-a-knot cubic splines, held
-as :class:`~magqmc.bsplines.PiecewisePolynomial` pieces. Every build
-passes a two-part accuracy gate:
-
-  (i)  quadrature: the rule agrees with the same rule on doubled panels at
-       every grid point to QUAD_RTOL;
-  (ii) interpolation: the splines agree with the rule at every interval
-       midpoint to SPLINE_RTOL;
-
-both relative, with a floor of 1e-3 sqrt(gamma) near zeros. A failure
-raises KernelAccuracyError naming the part that failed. The point functions
-nuclear_kernel, direct_kernel and exchange_kernel integrate one kernel
-with adaptive Gauss-Kronrod quadrature (scipy's ``quad``) over the same
-cutoff; they are the independent reference for tests and oracles, not the
-build path, so ``quad`` is imported only when one of them runs.
+The point functions nuclear_kernel, direct_kernel and exchange_kernel
+integrate one kernel with adaptive Gauss-Kronrod quadrature (scipy's
+``quad``) over the same cutoff: the independent reference for tests and
+oracles, so ``quad`` is imported only when one of them runs.
 """
 
 from __future__ import annotations
@@ -53,7 +45,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymm, dsymv
+from scipy.linalg.blas import dsymm, dsyrk
 
 from . import iofiles
 from .bsplines import PiecewisePolynomial, bisect, locate
@@ -62,7 +54,7 @@ from .landau import form_factor, mixed_form_factor
 
 logger = logging.getLogger(__name__)
 
-KERNEL_FORMAT = "magqmc-kernels/3"
+KERNEL_FORMAT = "magqmc-kernels/4"
 
 #: adaptive-quadrature relative tolerances of the point functions
 V_EPSREL = 1e-9
@@ -72,14 +64,19 @@ DX_EPSREL = 1e-7
 CUTOFF_EFOLDS = 36.0
 #: Gauss-Legendre nodes per panel of the tabulation rule
 NODES_PER_PANEL = 16
-#: build gate: rule vs doubled-panel rule, and splines vs rule at midpoints
+#: build gate: rule vs doubled-panel rule, and X splines vs rule at midpoints
 QUAD_RTOL = 1e-9
 SPLINE_RTOL = 1e-7
+#: exp(-x) is taken at min(x, _EXP_CUT): that moves terms below 1e-130 of the
+#: kernels and keeps subnormal numbers, slow in exp and BLAS, out of the products
+_EXP_CUT = 300.0
 #: zeta rows per exp(-outer(zeta, q)) block, which stays at a few MB
 _ZETA_CHUNK = 256
 #: points (direct and image arguments) per row block of
 #: KernelTable.pair_matrices, sized to stay in cache
 _PAIR_BLOCK = 32768
+#: points below which _lower_kernels takes its exponentials directly
+_LEAF = 8
 
 
 class KernelAccuracyError(SolverError):
@@ -174,10 +171,6 @@ def exchange_kernel(gamma: float, m1: int, m2: int, zeta) -> np.ndarray | float:
     return out.reshape(zs.shape) if np.ndim(zeta) else float(out[0])
 
 
-# ---------------------------------------------------------------------------
-# product rule in q
-
-
 def _panel_edges(gamma: float, span: float, qmax: float, max_degree: int) -> np.ndarray:
     """Panel edges of the tabulation rule on [0, qmax].
 
@@ -209,27 +202,18 @@ def _doubled(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _form_factor_columns(gamma, z_charge, ms, pairs, q) -> np.ndarray:
-    """(len(q), n_tables) matrix: -Z S_m, then S_a S_b, then T_ab^2."""
-    s = {m: form_factor(m, q, gamma) for m in ms}
-    cols = [-z_charge * s[m] for m in ms]
-    cols += [s[a] * s[b] for a, b in pairs]
-    cols += [mixed_form_factor(a, b, q, gamma) ** 2 for a, b in pairs]
-    return np.column_stack(cols)
+def _decay(zeta, q) -> np.ndarray:
+    """exp(-outer(zeta, q)) for zeta >= 0, the exponent cut at -_EXP_CUT."""
+    x = np.multiply.outer(zeta, -q)
+    return np.exp(np.maximum(x, -_EXP_CUT, out=x), out=x)
 
 
-def _tabulate(gamma, z_charge, ms, pairs, zeta, edges) -> np.ndarray:
-    """Every table at every zeta >= 0: exp(-outer(zeta, q)) @ (w F), in zeta blocks."""
-    q, w = _gauss_legendre_rule(edges, NODES_PER_PANEL)
-    wf = w[:, None] * _form_factor_columns(gamma, z_charge, ms, pairs, q)
-    out = np.empty((len(zeta), wf.shape[1]))
+def _rule_product(zeta: np.ndarray, q: np.ndarray, wf: np.ndarray) -> np.ndarray:
+    """exp(-outer(zeta, q)) @ wf for zeta >= 0, in blocks of _ZETA_CHUNK rows."""
+    out = np.empty((len(zeta),) + wf.shape[1:])
     for i in range(0, len(zeta), _ZETA_CHUNK):
-        out[i:i + _ZETA_CHUNK] = np.exp(-np.outer(zeta[i:i + _ZETA_CHUNK], q)) @ wf
+        out[i:i + _ZETA_CHUNK] = _decay(zeta[i:i + _ZETA_CHUNK], q) @ wf
     return out
-
-
-# ---------------------------------------------------------------------------
-# graded grid + tabulation
 
 
 def graded_grid(span: float, n_points: int, smallest_step: float) -> np.ndarray:
@@ -256,200 +240,228 @@ class GridSpec:
         return graded_grid(self.span, self.n_points, 1e-3 / np.sqrt(gamma))
 
 
-def _splines(grid: np.ndarray, tabs: dict) -> dict:
-    """One cubic spline per table, cut out of a single multi-column fit."""
-    if not tabs:
-        return {}
-    fit = PiecewisePolynomial.cubic_fit(grid, np.column_stack(list(tabs.values())))
-    return {k: PiecewisePolynomial(grid, np.ascontiguousarray(fit.c[..., j]))
-            for j, k in enumerate(tabs)}
+def cache_key(gamma: float, z_charge: float, ms, grid: GridSpec) -> str:
+    """Key of the table that build_kernel_table makes from these inputs."""
+    s = (f"gamma={float(gamma)!r};z={float(z_charge)!r};ms={sorted(set(int(m) for m in ms))};"
+         f"span={float(grid.span)!r};n={int(grid.n_points)}")
+    return hashlib.sha256(s.encode()).hexdigest()[:16]
 
 
 class KernelTable:
-    """Tabulated kernels for one (gamma, nuclear charge, occupied-m set).
-
-    Kernels are even in their argument; splines live on [0, span] and are
-    evaluated at |zeta|. Beyond the span the exact point-charge asymptotics
-    are used (V -> -Z/|z|, D -> 1/|zeta|, X -> delta_mm'/|zeta|).
+    """The kernels of one (gamma, nuclear charge, occupied-m set): the q rule
+    (nodes ``q``, weights ``w``), and on ``grid`` the tables ``x_tab`` of
+    X_ab, a < b, with their cubic splines. Kernels are even in their
+    argument. Beyond the span of the grid the exact point-charge
+    asymptotics are used (V -> -Z/|z|, D -> 1/|zeta|, X -> delta_mm'/|zeta|).
     """
 
-    def __init__(self, beta, gamma, z_charge, ms, grid, v_tab, d_tab, x_tab):
+    def __init__(self, beta, gamma, z_charge, ms, q, w, grid, x_tab):
         self.beta = float(beta)
         self.gamma = float(gamma)
         self.z_charge = float(z_charge)
         self.ms = tuple(sorted(set(int(m) for m in ms)))
+        self.q = np.asarray(q, dtype=float)
+        self.w = np.asarray(w, dtype=float)
+        # S_m at the nodes, one column per channel of ms
+        self._s = np.column_stack([form_factor(m, self.q, self.gamma) for m in self.ms])
         self.grid = np.asarray(grid, dtype=float)
         self.span = float(self.grid[-1])
-        self.v_tab = {int(k): np.asarray(v) for k, v in v_tab.items()}
-        self.d_tab = {tuple(k): np.asarray(v) for k, v in d_tab.items()}
         self.x_tab = {tuple(k): np.asarray(v) for k, v in x_tab.items()}
-        # one fit for every table: they share the grid, and so the interval
-        # search of pair_matrices serves them all
-        sp = _splines(self.grid, {**{("v", m): t for m, t in self.v_tab.items()},
-                                  **{("d", p): t for p, t in self.d_tab.items()},
-                                  **{("x", p): t for p, t in self.x_tab.items()}})
-        self._v_sp = {m: sp["v", m] for m in self.v_tab}
-        self._d_sp = {p: sp["d", p] for p in self.d_tab}
-        self._x_sp = {p: sp["x", p] for p in self.x_tab}
+        self._x_sp = {}
+        if self.x_tab:
+            # one fit: the tables share the grid, and pair_matrices its interval search
+            fit = PiecewisePolynomial.cubic_fit(self.grid, np.column_stack(list(self.x_tab.values())))
+            self._x_sp = {p: PiecewisePolynomial(self.grid, np.ascontiguousarray(fit.c[..., j]))
+                          for j, p in enumerate(self.x_tab)}
 
-    @staticmethod
-    def _pair(m1: int, m2: int) -> tuple[int, int]:
-        return (m1, m2) if m1 <= m2 else (m2, m1)
+    def _form(self, *ms) -> np.ndarray:
+        """w times the product of S_m over ``ms``, at the nodes."""
+        wf = self.w.copy()
+        for m in ms:
+            wf *= self._s[:, self.ms.index(m)]
+        return wf
+
+    def _from_rule(self, wf: np.ndarray, zeta, tail: float):
+        az = np.abs(np.asarray(zeta, dtype=float))
+        flat = az.ravel()
+        out = tail / np.maximum(flat, 1e-300)
+        inside = flat < self.span
+        out[inside] = _rule_product(flat[inside], self.q, wf)
+        return out.reshape(az.shape) if np.ndim(zeta) else float(out[0])
 
     def nuclear(self, m: int, z):
-        az = np.abs(np.asarray(z, dtype=float))
-        inside = az < self.span
-        out = np.where(inside, self._v_sp[m](np.minimum(az, self.span)),
-                       -self.z_charge / np.maximum(az, 1e-300))
-        return out if np.ndim(z) else float(out)
+        return self._from_rule(-self.z_charge * self._form(m), z, -self.z_charge)
 
     def direct(self, m1: int, m2: int, zeta):
-        az = np.abs(np.asarray(zeta, dtype=float))
-        inside = az < self.span
-        out = np.where(inside, self._d_sp[self._pair(m1, m2)](np.minimum(az, self.span)),
-                       1.0 / np.maximum(az, 1e-300))
-        return out if np.ndim(zeta) else float(out)
+        return self._from_rule(self._form(m1, m2), zeta, 1.0)
 
     def exchange(self, m1: int, m2: int, zeta):
+        if m1 == m2:
+            return self.direct(m1, m2, zeta)
         az = np.abs(np.asarray(zeta, dtype=float))
-        inside = az < self.span
-        tail = (1.0 if m1 == m2 else 0.0) / np.maximum(az, 1e-300)
-        out = np.where(inside, self._x_sp[self._pair(m1, m2)](np.minimum(az, self.span)), tail)
+        spline = self._x_sp[min(m1, m2), max(m1, m2)]
+        out = np.where(az < self.span, spline(np.minimum(az, self.span)), 0.0)
         return out if np.ndim(zeta) else float(out)
 
-    def pair_matrices(self, z, ms) -> tuple[dict, dict]:
-        """Even and odd image kernels on the half grid ``z``, for every pair of ``ms``.
+    def direct_potentials(self, z):
+        """The map {k: rho_k} -> {m: U_m} on the sorted grid ``z``, symmetric
+        about 0 bit for bit and inside the span, where rho_k is the density
+        of channel k at the points times their quadrature weights and
+        U_m(z_i) = sum_k sum_l D_mk(z_i - z_l) rho_k(z_l)
+                 = sum_j w_j S_m(q_j) sum_l exp(-q_j |z_i - z_l|) g_j(z_l),
+        g_j = sum_k S_k(q_j) rho_k. At +-z_i the points on the same side
+        come in by a forward recursion c_i = g_i + exp(-q (z_i - z_{i-1})) c_{i-1}
+        and a backward one, stable as every factor is at most 1, and the
+        other side by the separable exp(-q z_i) sum_l exp(-q z_l) g(-+z_l).
+        The exponentials are taken once, when the map is made.
+        """
+        z = np.asarray(z, dtype=float)
+        h = len(z) // 2
+        half = z[h:]
+        if len(z) % 2 or not np.array_equal(z[:h][::-1], -half) or 2.0 * z[-1] >= self.span:
+            raise ValueError("the grid must be mirror-symmetric about z = 0 and inside the span")
+        image = _decay(half, self.q)  # (h, n_q)
+        # row i: the factors into z_i (forward) and z_{h-1-i} (backward)
+        decay = _decay(np.diff(half), self.q)[:, None, None]
+        decay = np.concatenate([decay, decay[::-1]], axis=1)
 
-        On a grid symmetric about 0 whose positive half is ``z``, a pair
-        kernel K(|z - z'|) has one block within a half, K(|z_i - z_j|), and
-        one across, K(z_i + z_j). Its even and odd image kernels
-        Ke = K(|z_i - z_j|) + K(|z_i + z_j|) and
-        Ko = K(|z_i - z_j|) - K(|z_i + z_j|) are both symmetric, so one
-        Fortran-order (n, n) array holds the two: Ke in its upper triangle,
-        diagonal included, and Ko strictly below it. Beside it is kept the
-        n-vector delta = diag(Ko) - diag(Ke), so that Ko is the symmetric
-        matrix read from the lower triangle plus diag(delta). Returns
-        ({(a, b): (packed, delta)}, {(a, b): (packed, delta)}) for the
-        direct and the exchange kernels, a <= b. Each K value equals bit
-        for bit ``direct(a, b, .)`` or ``exchange(a, b, .)``, beyond-span
-        tails included. The spline interval of both arguments is found once
-        for all tables, and each table is then one cubic pass, summed in the
-        order a :class:`~magqmc.bsplines.PiecewisePolynomial` sums it. Only
-        the upper triangle is evaluated, in row blocks of about _PAIR_BLOCK
-        points: Ke is written row-wise, Ko mirrored below the diagonal.
+        def potentials(rho: dict) -> dict:
+            s = self._s[:, [self.ms.index(m) for m in rho]]
+            ws = self.w[:, None] * s
+            r = np.column_stack(list(rho.values()))
+            r = np.stack([r[h:], r[h - 1::-1]], axis=1)  # (h, 2, n_k): at +z_i, then -z_i
+            # row i: the sources at z_i (forward) and z_{h-1-i} (backward), summed in place
+            c = np.stack([r, r[::-1]], axis=1) @ s.T
+            # sum_l exp(-q z_l) g(-+z_l): the other side's image sums
+            across = np.einsum("qsk,qk->sq", np.tensordot(image, r, axes=(0, 0)), s)[::-1]
+            tmp, rows = np.empty_like(c[0]), list(c)
+            for prev, row, factor in zip(rows, rows[1:], decay):
+                row += np.multiply(factor, prev, out=tmp)
+            c = (c.reshape(-1, len(self.q)) @ ws).reshape(h, 2, 2, -1)
+            # both recursions count g_i, so it is taken off once
+            u = (c[:, 0] + c[::-1, 1] - r @ (s.T @ ws)
+                 + (image @ (across[:, :, None] * ws)).transpose(1, 0, 2))
+            return {m: np.concatenate([u[::-1, 1, j], u[:, 0, j]]) for j, m in enumerate(rho)}
+
+        return potentials
+
+    def pair_matrices(self, z, ms) -> dict:
+        """{(a, b): (packed, delta)}, a <= b in ``ms``: the even and odd image
+        exchange kernels on the half grid ``z`` (sorted, inside half the span).
+
+        On the grid symmetric about 0 whose positive half is ``z``, a kernel
+        K(|z - z'|) has even and odd image kernels Ke = K(|z_i - z_j|) +
+        K(z_i + z_j) and Ko = K(|z_i - z_j|) - K(z_i + z_j), both symmetric:
+        one Fortran-order (n, n) array holds Ke in its upper triangle,
+        diagonal included, and Ko strictly below it, and delta = diag(Ko) -
+        diag(Ke). X_mm comes from the rule, in products of factors exp(-q d) <= 1.
+        For a < b each value equals bit for bit ``exchange(a, b, .)``: the
+        spline interval of both arguments is found once for all tables,
+        each table is one cubic pass summed as a PiecewisePolynomial sums
+        it, and only the upper triangle is evaluated, in row blocks of
+        about _PAIR_BLOCK points, Ko mirrored below the diagonal.
         """
         z = np.asarray(z, dtype=float)
         n = len(z)
+        if np.any(np.diff(z) < 0) or z[0] < 0 or 2.0 * z[-1] >= self.span:
+            raise ValueError("the half grid must be sorted, in [0, span / 2)")
         ms = sorted(set(int(m) for m in ms))
-        pairs = [(a, b) for i, a in enumerate(ms) for b in ms[i:]]
-        d = {p: (np.empty((n, n), order="F"), np.empty(n)) for p in pairs}
-        x = {p: (np.empty((n, n), order="F"), np.empty(n)) for p in pairs}
-        # (coefficients, (packed, delta) outputs, weight of the 1/|zeta| tail)
-        jobs = ([(self._d_sp[p].c, d[p], 1.0) for p in pairs]
-                + [(self._x_sp[p].c, x[p], float(p[0] == p[1])) for p in pairs])
+        # X_mm = D_mm from the rule: K(z_i + z_l) = sum_j wf_j e_ij e_lj, e =
+        # exp(-outer(z, q)), is one rank-n_q update (BLAS syrk) of e sqrt(wf)
+        wf = np.column_stack([self._form(m, m) for m in ms])
+        k_minus = np.zeros((len(ms), n, n))
+        _lower_kernels(z, self.q, wf, k_minus)
+        e, x = _decay(z, self.q), {}
+        for m, km, root in zip(ms, k_minus, np.sqrt(wf.T)):
+            kp = dsyrk(1.0, e * root, lower=1)  # the lower triangle of K(z_i + z_l)
+            # the transpose of the packed array: Ke on and below the diagonal, Ko above
+            x[m, m] = ((np.tril(km + kp) + np.tril(km - kp, -1).T).T, -2.0 * np.diag(kp))
+        splined = {(a, b): (np.empty((n, n), order="F"), np.empty(n))
+                   for i, a in enumerate(ms) for b in ms[i + 1:]}
         rows = max(1, _PAIR_BLOCK // max(2 * n, 1))
-        for r0 in range(0, n, rows):
+        for r0 in range(0, n, rows) if splined else ():
             r1 = min(r0 + rows, n)
             zi, zj = z[r0:r1, None], z[None, r0:]
             # (2, rows, cols): the direct argument, then the image one
-            az = np.abs(np.stack([zi - zj, zi + zj]))
-            i, s = locate(self.grid, az)
-            s2 = s * s
-            s3 = s2 * s
-            outside = az >= self.span
-            inv = 1.0 / np.maximum(az, 1e-300) if outside.any() else None
-            tmp = np.empty_like(az)
+            i, s = locate(self.grid, np.abs(np.stack([zi - zj, zi + zj])))
+            s2, s3 = s * s, s * s * s
+            tmp = np.empty_like(s)
             # strictly lower triangle and diagonal of the block's leading square
             below, diag = np.tril_indices(r1 - r0, -1), np.diag_indices(r1 - r0)
-            for c, (packed, delta), tail in jobs:
+            for p, (packed, delta) in splined.items():
+                c = self._x_sp[p].c
                 val = np.take(c[3], i)
                 val += np.multiply(np.take(c[2], i, out=tmp), s, out=tmp)
                 val += np.multiply(np.take(c[1], i, out=tmp), s2, out=tmp)
                 val += np.multiply(np.take(c[0], i, out=tmp), s3, out=tmp)
-                if inv is not None:
-                    val = np.where(outside, tail * inv, val)
                 even = np.add(val[0], val[1], out=packed[r0:r1, r0:])
                 odd = np.subtract(val[0], val[1], out=tmp[0])
                 delta[r0:r1] = odd[diag] - even[diag]
                 packed[r1:, r0:r1] = odd[:, r1 - r0:].T
                 packed[r0:r1, r0:r1][below] = odd[below]
-        return d, x
+        return dict(sorted({**x, **splined}.items()))
 
     # -- serialization ------------------------------------------------------
 
-    def cache_key(self) -> str:
-        s = (
-            f"gamma={self.gamma!r};z={self.z_charge!r};ms={self.ms};"
-            f"span={self.span!r};n={len(self.grid)};h0={self.grid[1] - self.grid[0]!r}"
-        )
-        return hashlib.sha256(s.encode()).hexdigest()[:16]
-
     def _arrays(self) -> dict[str, np.ndarray]:
-        arrs = {"grid": self.grid}
-        for m, tab in sorted(self.v_tab.items()):
-            arrs[f"v_{m}"] = tab
-        for (a, b), tab in sorted(self.d_tab.items()):
-            arrs[f"d_{a}_{b}"] = tab
-        for (a, b), tab in sorted(self.x_tab.items()):
-            arrs[f"x_{a}_{b}"] = tab
-        return arrs
+        return {"q": self.q, "w": self.w, "grid": self.grid,
+                **{f"x_{a}_{b}": tab for (a, b), tab in sorted(self.x_tab.items())}}
 
     def checksum(self) -> str:
         return iofiles.checksum(self._arrays())
 
     def save(self, path) -> None:
         meta = {"beta": self.beta, "gamma": self.gamma, "z_charge": self.z_charge,
-                "ms": list(self.ms), "cache_key": self.cache_key(), "interpolation": "cubic"}
+                "ms": list(self.ms)}
         iofiles.write_artifact(path, KERNEL_FORMAT, meta, self._arrays())
 
     @classmethod
     def load(cls, path) -> "KernelTable":
         meta, arrays = iofiles.read_artifact(path, KERNEL_FORMAT)
-        tabs = {"v": {}, "d": {}, "x": {}}
-        for name, tab in arrays.items():
-            kind, *ms = name.split("_")
-            if kind in tabs:
-                key = tuple(int(m) for m in ms)
-                tabs[kind][key if len(key) > 1 else key[0]] = tab
+        x_tab = {tuple(int(m) for m in name.split("_")[1:]): tab
+                 for name, tab in arrays.items() if name.startswith("x_")}
         return cls(meta["beta"], meta["gamma"], meta["z_charge"], meta["ms"],
-                   arrays["grid"], tabs["v"], tabs["d"], tabs["x"])
+                   arrays["q"], arrays["w"], arrays["grid"], x_tab)
+
+
+def _lower_kernels(z, q, wf, out) -> None:
+    """Write K_p(z_i - z_l) = sum_j wf_jp exp(-q_j |z_i - z_l|) for z_l <= z_i,
+    at least, into out[p] (n, n), with z sorted.
+
+    Halving the sorted grid at z_m, the block of z_i >= z_m against z_l < z_m
+    is sum_j wf_jp exp(-q_j (z_i - z_m)) exp(-q_j (z_m - z_l)), one GEMM;
+    both halves recurse, down to _LEAF points, whose exponentials are direct.
+    """
+    n, n_q = len(z), len(q)
+    if n <= _LEAF:
+        out[:] = np.moveaxis(_decay(np.abs(z[:, None] - z[None, :]), q) @ wf, -1, 0)
+        return
+    m = n // 2
+    near = (wf.T[:, None, :] * _decay(z[m:] - z[m], q)).reshape(-1, n_q)
+    out[:, m:, :m] = (near @ _decay(z[m] - z[:m], q).T).reshape(-1, n - m, m)
+    _lower_kernels(z[:m], q, wf, out[:, :m, :m])
+    _lower_kernels(z[m:], q, wf, out[:, m:, m:])
 
 
 def image_product(parity: int, packed: np.ndarray, delta: np.ndarray, v: np.ndarray):
     """The even (``parity`` 0) or odd (1) image kernel of a
-    :meth:`KernelTable.pair_matrices` array times the vector or C-order
-    matrix ``v``.
+    :meth:`KernelTable.pair_matrices` array times the C-order matrix ``v``.
 
-    A vector goes to BLAS symv. A matrix goes to symm as v^T K, whose
-    transpose is returned: v^T is Fortran-order, which the BLAS wrappers
-    take without a copy, and symm on one or two columns would pack the
-    whole kernel on every call. The odd kernel reads the lower triangle,
-    whose diagonal is the even one's, and adds diag(delta) v in place.
+    BLAS symm takes v^T K, whose transpose is returned: v^T is
+    Fortran-order, which the BLAS wrappers take without a copy. The odd
+    kernel reads the lower triangle, whose diagonal is the even one's, and
+    adds diag(delta) v in place.
     """
-    if v.ndim == 1:
-        if parity == 0:
-            return dsymv(1.0, packed, v)
-        return dsymv(1.0, packed, v, beta=1.0, y=delta * v, lower=1, overwrite_y=1)
     vt = v.T
     if parity == 0:
         return dsymm(1.0, packed, vt, side=1).T
     return dsymm(1.0, packed, vt, beta=1.0, c=vt * delta, side=1, lower=1, overwrite_c=1).T
 
 
-def build_kernel_table(
-    field_beta: float,
-    gamma: float,
-    z_charge: float,
-    ms,
-    grid: GridSpec,
-) -> KernelTable:
-    """Tabulate all kernels for the occupied-m set on a graded grid.
-
-    One Gauss-Legendre product rule in q gives every table at once. The
-    two-part gate of the module docstring then runs (doubled-panel rule at
-    every grid point, splines at every interval midpoint); a failure raises
-    :class:`KernelAccuracyError` saying which part failed.
-    """
+def build_kernel_table(field_beta: float, gamma: float, z_charge: float, ms,
+                       grid: GridSpec) -> KernelTable:
+    """Build the q rule for the occupied-m set, tabulate X_ab (a < b) on the
+    graded grid, and run the two-part gate of the module docstring."""
     ms = sorted(set(int(m) for m in ms))
     pairs = [(a, b) for i, a in enumerate(ms) for b in ms[i:]]
     pts = grid.points(gamma)
@@ -460,32 +472,33 @@ def build_kernel_table(
     names = ([f"V_{m}" for m in ms] + [f"D_{a}_{b}" for a, b in pairs]
              + [f"X_{a}_{b}" for a, b in pairs])
 
+    def every_kernel(zeta, q, w):
+        # one column per name: -Z S_m, then S_a S_b, then T_ab^2
+        s = {m: form_factor(m, q, gamma) for m in ms}
+        f = ([-z_charge * s[m] for m in ms] + [s[a] * s[b] for a, b in pairs]
+             + [mixed_form_factor(a, b, q, gamma) ** 2 for a, b in pairs])
+        return _rule_product(zeta, q, w[:, None] * np.column_stack(f))
+
     t0 = time.perf_counter()
-    vals = _tabulate(gamma, z_charge, ms, pairs, np.concatenate([pts, mids]), edges)
-    tabs, at_mids = vals[:len(pts)], vals[len(pts):]
-    cols = iter(np.ascontiguousarray(tabs.T))
-    table = KernelTable(
-        field_beta, gamma, z_charge, ms, pts,
-        {m: next(cols) for m in ms},
-        {p: next(cols) for p in pairs},
-        {p: next(cols) for p in pairs},
-    )
+    q, w = _gauss_legendre_rule(edges, NODES_PER_PANEL)
+    vals = every_kernel(np.concatenate([pts, mids]), q, w)
+    tabs = vals[:len(pts)]
+    # the tabulated kernels: the X_ab columns with a < b
+    first_x = len(ms) + len(pairs)
+    cols = [first_x + j for j, (a, b) in enumerate(pairs) if a < b]
+    table = KernelTable(field_beta, gamma, z_charge, ms, q, w, pts,
+                        {pairs[j - first_x]: tabs[:, j].copy() for j in cols})
     floor = 1e-3 * math.sqrt(gamma)
-    refined = _tabulate(gamma, z_charge, ms, pairs, pts, _doubled(edges))
+    refined = every_kernel(pts, *_gauss_legendre_rule(_doubled(edges), NODES_PER_PANEL))
     _gate("quadrature", "the rule and the doubled-panel rule disagree at grid points",
           "raise NODES_PER_PANEL", names, tabs, refined, QUAD_RTOL, floor)
-    splines = np.column_stack(
-        [table.nuclear(m, mids) for m in ms]
-        + [table.direct(a, b, mids) for a, b in pairs]
-        + [table.exchange(a, b, mids) for a, b in pairs]
-    )
-    _gate("interpolation", "the splines miss the rule at interval midpoints",
-          "refine the grid", names, splines, at_mids, SPLINE_RTOL, floor)
-    logger.info(
-        "kernel table: %d m-channels, %d pairs, %d points, %d q-nodes in %.3fs (gate passed)",
-        len(ms), len(pairs), len(pts), (len(edges) - 1) * NODES_PER_PANEL,
-        time.perf_counter() - t0,
-    )
+    if cols:
+        splines = np.column_stack([table.exchange(*p, mids) for p in table.x_tab])
+        _gate("interpolation", "the X splines miss the rule at interval midpoints",
+              "refine the grid", [names[j] for j in cols], splines, vals[len(pts):, cols],
+              SPLINE_RTOL, floor)
+    logger.info("kernel table: %d m-channels, %d pairs, %d points, %d q-nodes in %.3fs "
+                "(gate passed)", len(ms), len(pairs), len(pts), len(q), time.perf_counter() - t0)
     return table
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import iofiles
 from .config import ConfigError, RunConfig, config_hash, physics_hash, render_config
@@ -34,7 +35,7 @@ from .guiding import GuidingFunction, Hamiltonian
 from .hf import OrbitalSet, basis_for_config, load_orbitals, save_orbitals, scf
 from .iofiles import ArtifactError
 from .jastrow import JastrowParams
-from .kernels import GridSpec, KernelTable, build_kernel_table
+from .kernels import GridSpec, KernelTable, build_kernel_table, cache_key
 from .sampler import BlockStats, WalkerPopulation, init_walkers
 from .units import EnergyValue, hartree_to_kev
 
@@ -57,11 +58,9 @@ def ensure_kernels(cfg: RunConfig, force: bool = False) -> tuple[KernelTable, Pa
     grid = kernel_grid_for(cfg)
     gamma = cfg.field.gamma
     ms = sorted(set(o.m for o in cfg.occupations))
-    probe = KernelTable(cfg.field.beta, gamma, float(cfg.z), ms,
-                        grid.points(gamma), {}, {}, {})
     cache = kernel_cache_dir(cfg)
     cache.mkdir(parents=True, exist_ok=True)
-    path = cache / f"kernels_{probe.cache_key()}.npz"
+    path = cache / f"kernels_{cache_key(gamma, float(cfg.z), ms, grid)}.npz"
     if path.exists() and not force:
         try:
             table = KernelTable.load(path)
@@ -245,6 +244,7 @@ def run_pipeline(
             "checkpoint": str(ckpt_path),
         },
         "scf_iterations": len(orbitals.scf_energies),
+        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
         "timings_sec": {k: round(v, 3) for k, v in timings.items()},
         "total_sec": round(time.perf_counter() - t_start, 3),
     }

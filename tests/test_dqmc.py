@@ -1,9 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from magqmc.config import StageSpec
+from magqmc.config import StageSpec, parse_config_text
 from magqmc.dqmc import (
     PopulationControl,
     PopulationControlError,
@@ -12,7 +13,10 @@ from magqmc.dqmc import (
     run_stage,
 )
 from magqmc.guiding import GuidingFunction
+from magqmc.hf import scf
+from magqmc.kernels import build_kernel_table
 from magqmc.oracles import separable_test_hamiltonian
+from magqmc.pipeline import guiding_for, kernel_grid_for
 from magqmc.sampler import BlockStats, WalkerPopulation, init_walkers
 
 
@@ -202,3 +206,47 @@ def test_stage_running_average_recomputable(exact_guiding):
         else:
             assert math.isnan(s.e_avg)
     assert res.sigma == pytest.approx(np.std(kept, ddof=1))
+
+
+@pytest.fixture(scope="module")
+def heplus_guiding():
+    cfg = parse_config_text("z = 2\nn_electrons = 1\nb_tesla = 1e8\nhf_elements = 12\n")
+    kernels = build_kernel_table(cfg.field.beta, cfg.field.gamma, 2.0, [0], kernel_grid_for(cfg))
+    return guiding_for(cfg, scf(cfg, kernels))
+
+
+def _acceptance_warnings(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.levelno == logging.WARNING and "acceptance" in r.getMessage()]
+
+
+def test_diffusion_at_small_dtau_does_not_warn_about_acceptance(heplus_guiding, caplog):
+    rng = np.random.default_rng(5)
+    pop = init_walkers(heplus_guiding, 40, rng)
+    ctrl = PopulationControl(e_trial=-15.3, target=40, tau_block=10 * 1e-4)
+    with caplog.at_level(logging.WARNING, logger="magqmc.dqmc"):
+        _, res = run_stage(pop, heplus_guiding, StageSpec("fpdqmc", 3, 10, 1), 1e-4, rng,
+                           control=ctrl)
+    # near-unit acceptance is the regime small-dtau diffusion wants
+    assert min(s.acceptance for s in res.stats) > 0.99
+    assert _acceptance_warnings(caplog) == []
+
+
+def test_acceptance_warnings_name_the_step_key(heplus_guiding, caplog):
+    rng = np.random.default_rng(6)
+    pop = init_walkers(heplus_guiding, 40, rng)
+    with caplog.at_level(logging.WARNING, logger="magqmc.dqmc"):
+        run_stage(pop, heplus_guiding, StageSpec("vqmc", 2, 10, 1), 1e-9, rng)
+    [msg] = _acceptance_warnings(caplog)
+    assert msg.startswith("vqmc acceptance") and msg.endswith("increase dtau_metropolis")
+    caplog.clear()
+    # far too large a diffusion step: almost every move is rejected
+    rng = np.random.default_rng(6)
+    pop = init_walkers(heplus_guiding, 40, rng)
+    ctrl = PopulationControl(e_trial=-15.3, target=40, tau_block=3 * 0.1)
+    with caplog.at_level(logging.WARNING, logger="magqmc.dqmc"):
+        _, res = run_stage(pop, heplus_guiding, StageSpec("fpdqmc", 1, 3, 0), 0.1, rng,
+                           control=ctrl)
+    assert res.stats[0].acceptance < 0.01
+    [msg] = _acceptance_warnings(caplog)
+    assert msg.startswith("fpdqmc acceptance") and msg.endswith("decrease dtau")

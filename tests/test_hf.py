@@ -107,9 +107,11 @@ def test_helium_reference_energy(he_orbitals):
 
 
 def test_helium_scf_converges_fast_to_the_same_fixed_point(he_orbitals):
-    # linear damping needs 17 iterations to this energy
+    # linear damping needs 17 iterations to this energy. V, D and X_mm come
+    # from the q rule: the X_01 spline alone leaves 2.3e-10 Ha of the limit
+    # of finer kernel grids (-21.1426178441905 Ha at 3200 points)
     assert len(he_orbitals.scf_energies) <= 10
-    assert he_orbitals.e_total == pytest.approx(-21.142617841714003, rel=1e-10)
+    assert he_orbitals.e_total == pytest.approx(-21.14261784396318, rel=1e-10)
 
 
 def test_excited_carbon_filling_converges_fast():
@@ -268,10 +270,11 @@ def test_workspace_keeps_only_pair_matrices_on_the_grid(repeated_channel):
     ws, _ = repeated_channel
     nq = len(ws.basis.zq)
     h = nq // 2
-    assert sorted(ws.d_pairs) == sorted(ws.x_pairs) == [(0, 0), (0, 1), (1, 1)]
-    # every pair keeps one packed (even, odd) array and its diagonal
-    # correction on the half grid, and nothing nq x nq is resident
-    for packed, delta in (*ws.d_pairs.values(), *ws.x_pairs.values()):
+    assert sorted(ws.x_pairs) == [(0, 0), (0, 1), (1, 1)]
+    assert not hasattr(ws, "d_pairs")  # the direct term has no pair kernel
+    # every pair keeps one packed exchange (even, odd) array and its
+    # diagonal correction on the half grid, and nothing nq x nq is resident
+    for packed, delta in ws.x_pairs.values():
         assert packed.shape == (h, h) and packed.flags.f_contiguous
         assert delta.shape == (h,)
     square = [name for name, val in vars(ws).items()
@@ -281,23 +284,23 @@ def test_workspace_keeps_only_pair_matrices_on_the_grid(repeated_channel):
 
 def test_workspace_pair_storage_is_half_the_parity_matrices(repeated_channel):
     ws, _ = repeated_channel
-    h, n_pairs = ws.half, len(ws.d_pairs)
+    h, n_pairs = ws.half, len(ws.x_pairs)
     # the one-body matrices and nuclear kernels do not grow with the pairs
     one_body = {"s_mat", "t_mat", "v_mats", "v_quad", "lower"}
     rest = sum(a.nbytes for k, v in vars(ws).items() if k not in one_body for a in _ndarrays(v))
-    # two h x h arrays per pair, where the even and odd parity matrices of
-    # the direct and exchange kernels took four, plus O(h)
-    assert rest <= n_pairs * 2 * h * h * 8 + n_pairs * 2 * h * 8
+    # one h x h exchange array per pair, where the even and odd parity
+    # matrices took two, plus O(h); no direct array
+    assert rest <= n_pairs * h * h * 8 + n_pairs * h * 8
 
 
 def test_workspace_logs_its_resident_size(repeated_channel, he_kernels, caplog):
     ws, _ = repeated_channel
     with caplog.at_level(logging.INFO, logger="magqmc.hf"):
         MeanFieldWorkspace(ws.basis, he_kernels, ws.occupations)
-    mib = 3 * 2 * (ws.half**2 + ws.half) * 8 / 2**20
+    mib = 3 * (ws.half**2 + ws.half) * 8 / 2**20
     assert [r.getMessage() for r in caplog.records] == [
         f"mean-field workspace: 3 channel pairs on a {ws.half}-node half grid, "
-        f"{mib:.1f} MiB of pair kernels"]
+        f"{mib:.1f} MiB of exchange kernels"]
 
 
 def test_workspace_rejects_asymmetric_grid(he_kernels):

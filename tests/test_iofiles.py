@@ -19,9 +19,10 @@ from magqmc.sampler import WalkerPopulation
 
 def _kernel_table(path):
     grid = np.linspace(0.0, 10.0, 64)
-    tab = 1.0 / (1.0 + grid)
-    KernelTable(25.0, 50.0, 1.0, [0], grid, {0: -tab}, {(0, 0): tab}, {(0, 0): tab}).save(path)
-    return KernelTable.load, "v_0"
+    q, w = np.polynomial.legendre.leggauss(16)
+    KernelTable(25.0, 50.0, 1.0, [0, 1], 5.0 * (q + 1.0), 5.0 * w, grid,
+                {(0, 1): 1.0 / (1.0 + grid)}).save(path)
+    return KernelTable.load, "x_0_1"
 
 
 def _orbital_file(path):

@@ -1,11 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
 
+from magqmc import iofiles
 from magqmc.kernels import (
     GridSpec,
     KernelAccuracyError,
     KernelTable,
     build_kernel_table,
+    cache_key,
     direct_kernel,
     exchange_kernel,
     graded_grid,
@@ -121,64 +125,102 @@ def test_table_even_and_tail(small_table):
     assert small_table.exchange(0, 1, far) == 0.0
 
 
+def _half_grid(table, rng, n):
+    """A sorted half grid in [0, span / 2) that hits grid nodes of the table."""
+    return np.sort(np.concatenate([rng.uniform(0.0, 0.45 * table.span, n),
+                                   table.grid[[0, 3, 250]], [0.45 * table.span]]))
+
+
 # one row block; one row per block; several 4-row blocks and a 2-row tail
 @pytest.mark.parametrize("block", [32768, 50, 400])
 def test_pair_matrices_match_point_evaluation(small_table, monkeypatch, block):
     import magqmc.kernels as kernels
 
     monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
-    rng = np.random.default_rng(4)
-    # a half grid: grid nodes hit exactly, and both the direct and the image
-    # separations reach beyond the span (12) for the tails
-    z = np.concatenate([rng.uniform(0.0, 8.0, 37), small_table.grid[[0, 3, 250]], [8.0, 13.0]])
+    z = _half_grid(small_table, np.random.default_rng(4), 38)
     minus = np.abs(z[:, None] - z[None, :])
     plus = z[:, None] + z[None, :]
-    for sep in (minus, plus):
-        assert np.any(sep > small_table.span) and np.any(sep < small_table.span)
-    d, x = small_table.pair_matrices(z, [1, 0])
-    assert sorted(d) == sorted(x) == [(0, 0), (0, 1), (1, 1)]
+    x = small_table.pair_matrices(z, [1, 0])
+    assert list(x) == [(0, 0), (0, 1), (1, 1)]
     upper, below = np.triu_indices(len(z)), np.tril_indices(len(z), -1)
-    for mats, kernel in ((d, small_table.direct), (x, small_table.exchange)):
-        for (a, b), (packed, delta) in mats.items():
-            assert packed.flags.f_contiguous and delta.shape == z.shape
-            k_minus, k_plus = kernel(a, b, minus), kernel(a, b, plus)
-            even, odd = k_minus + k_plus, k_minus - k_plus
-            # even kernel in the upper triangle, odd strictly below, and
-            # the diagonal correction that turns one into the other
-            np.testing.assert_allclose(packed[upper], even[upper], rtol=1e-14, atol=0)
-            np.testing.assert_allclose(packed[below], odd[below], rtol=1e-14, atol=0)
-            np.testing.assert_allclose(delta, np.diag(odd) - np.diag(even), rtol=1e-14, atol=0)
+    for (a, b), (packed, delta) in x.items():
+        assert packed.flags.f_contiguous and delta.shape == z.shape
+        k_minus, k_plus = small_table.exchange(a, b, minus), small_table.exchange(a, b, plus)
+        even, odd = k_minus + k_plus, k_minus - k_plus
+        if a == b:
+            # X_mm from the rule: each value to rounding of the two terms it
+            # combines (the odd kernel vanishes at z = 0)
+            scale = np.abs(k_minus) + np.abs(k_plus)
+            np.testing.assert_array_less(np.abs(packed[upper] - even[upper]), 1e-14 * scale[upper])
+            np.testing.assert_array_less(np.abs(packed[below] - odd[below]), 1e-14 * scale[below])
+            np.testing.assert_array_less(np.abs(delta + 2 * np.diag(k_plus)),
+                                         1e-14 * np.diag(scale))
+            continue
+        # even kernel in the upper triangle, odd strictly below, and the
+        # diagonal correction that turns one into the other
+        np.testing.assert_allclose(packed[upper], even[upper], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(packed[below], odd[below], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(delta, np.diag(odd) - np.diag(even), rtol=1e-14, atol=0)
+
+
+def test_pair_matrices_need_a_sorted_half_grid_inside_the_span(small_table):
+    with pytest.raises(ValueError, match="sorted"):
+        small_table.pair_matrices(np.array([0.5, 0.1, 1.0]), [0])
+    with pytest.raises(ValueError, match="span"):
+        small_table.pair_matrices(np.array([0.1, 0.5 * small_table.span]), [0])
 
 
 def test_image_products_match_dense_parity_matrices(small_table):
     rng = np.random.default_rng(3)
-    z = np.sort(rng.uniform(0.0, 13.0, 60))
+    z = np.sort(rng.uniform(0.0, 0.49 * small_table.span, 60))
     minus, plus = np.abs(z[:, None] - z[None, :]), z[:, None] + z[None, :]
-    y, v = rng.standard_normal((len(z), 11)), rng.standard_normal(len(z))
-    d, x = small_table.pair_matrices(z, [0, 1])
-    for mats, kernel in ((d, small_table.direct), (x, small_table.exchange)):
-        for (a, b), (packed, delta) in mats.items():
-            k_minus, k_plus = kernel(a, b, minus), kernel(a, b, plus)
-            for parity, dense in enumerate((k_minus + k_plus, k_minus - k_plus)):
-                for arg in (y, v):
-                    want = dense @ arg
-                    got = image_product(parity, packed, delta, arg)
-                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    y = rng.standard_normal((len(z), 11))
+    for (a, b), (packed, delta) in small_table.pair_matrices(z, [0, 1]).items():
+        k_minus, k_plus = small_table.exchange(a, b, minus), small_table.exchange(a, b, plus)
+        for parity, dense in enumerate((k_minus + k_plus, k_minus - k_plus)):
+            want = dense @ y
+            got = image_product(parity, packed, delta, y)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_direct_potentials_match_the_dense_rule_product():
+    # channels m = 0..5 on a mirror grid; U_m = sum_k D_mk rho_k taken densely
+    table = build_kernel_table(GAMMA / 2, GAMMA, 6.0, range(6), GridSpec(span=12.0, n_points=500))
+    rng = np.random.default_rng(6)
+    half = np.sort(np.concatenate([rng.uniform(0.0, 5.9, 150), [1e-4, 2e-3]]))
+    z = np.concatenate([-half[::-1], half])
+    rho = {m: np.exp(-(z - 0.3 * m) ** 2 * (m + 1)) * rng.uniform(0.5, 1.0, len(z))
+           for m in range(6)}
+    u = table.direct_potentials(z)(rho)
+    sep = np.abs(z[:, None] - z[None, :])
+    for m in range(6):
+        want = sum(table.direct(m, k, sep) @ rho[k] for k in range(6))
+        assert np.max(np.abs(u[m] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_direct_potentials_need_a_mirror_grid_inside_the_span(small_table):
+    for z in ([-1.0, 0.5, 1.0], [-1.0, 0.5], [-6.0, 6.0]):
+        with pytest.raises(ValueError, match="mirror-symmetric about z = 0 and inside the span"):
+            small_table.direct_potentials(np.array(z))
 
 
 def test_too_coarse_grid_reported():
     with pytest.raises(KernelAccuracyError, match="refine"):
-        build_kernel_table(GAMMA / 2, GAMMA, 2.0, [0], GridSpec(span=12.0, n_points=24))
+        # two channels: X_01 is the one kernel that is interpolated
+        build_kernel_table(GAMMA / 2, GAMMA, 2.0, [0, 1], GridSpec(span=12.0, n_points=24))
 
 
 def test_table_save_load_round_trip(small_table, tmp_path):
     path = tmp_path / "kern.npz"
     small_table.save(path)
     loaded = KernelTable.load(path)
-    assert loaded.cache_key() == small_table.cache_key()
-    zeta = np.array([0.0, 0.01, 1.0])
-    assert np.array_equal(loaded.direct(0, 1, zeta), small_table.direct(0, 1, zeta))
-    assert np.array_equal(loaded.nuclear(1, zeta), small_table.nuclear(1, zeta))
+    assert loaded.checksum() == small_table.checksum()
+    zeta = np.array([0.0, 0.01, 1.0, 20.0])
+    for m in (0, 1):
+        assert np.array_equal(loaded.nuclear(m, zeta), small_table.nuclear(m, zeta))
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        assert np.array_equal(loaded.direct(a, b, zeta), small_table.direct(a, b, zeta))
+        assert np.array_equal(loaded.exchange(a, b, zeta), small_table.exchange(a, b, zeta))
 
 
 def test_corrupted_table_detected(small_table, tmp_path):
@@ -190,7 +232,7 @@ def test_corrupted_table_detected(small_table, tmp_path):
     with _np.load(path, allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(str(arrays.pop("meta")))
-    arrays["v_0"] = arrays["v_0"] + 1e-5  # silent corruption
+    arrays["x_0_1"] = arrays["x_0_1"] + 1e-5  # silent corruption
     with open(path, "wb") as fh:
         _np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
     with pytest.raises((KernelAccuracyError, ValueError)):
@@ -223,6 +265,33 @@ def test_truncated_cache_is_rebuilt(tmp_path, monkeypatch):
     rebuilt, path2, hit = ensure_kernels(cfg)
     assert not hit and path2 == path
     assert rebuilt.checksum() == table.checksum()
+    assert KernelTable.load(path).checksum() == table.checksum()
+    assert list(path.parent.iterdir()) == [path]
+
+
+def test_cache_key_follows_the_table_inputs():
+    grid = GridSpec(span=12.0)
+    key = cache_key(GAMMA, 2.0, [1, 0], grid)
+    assert key == cache_key(GAMMA, 2.0, (0, 1, 1), GridSpec(span=12.0, n_points=800))
+    others = [cache_key(2 * GAMMA, 2.0, [0, 1], grid), cache_key(GAMMA, 3.0, [0, 1], grid),
+              cache_key(GAMMA, 2.0, [0], grid), cache_key(GAMMA, 2.0, [0, 1], GridSpec(span=13.0)),
+              cache_key(GAMMA, 2.0, [0, 1], GridSpec(span=12.0, n_points=801))]
+    assert len({key, *others}) == 6
+
+
+def test_outdated_cache_format_is_rebuilt(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("MAGQMC_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = parse_config_text("z = 1\nbeta = 50\nhf_elements = 12\n")
+    path = tmp_path / "cache" / f"kernels_{cache_key(cfg.field.gamma, 1.0, [0], kernel_grid_for(cfg))}.npz"
+    path.parent.mkdir()
+    grid = np.linspace(0.0, 10.0, 64)
+    iofiles.write_artifact(path, "magqmc-kernels/3", {"beta": 50.0, "gamma": 100.0},
+                           {"grid": grid, "v_0": -1 / (1 + grid), "d_0_0": 1 / (1 + grid)})
+    with caplog.at_level(logging.WARNING):
+        table, got, hit = ensure_kernels(cfg)
+    assert got == path and not hit
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1 and "magqmc-kernels/3" in warnings[0]
     assert KernelTable.load(path).checksum() == table.checksum()
     assert list(path.parent.iterdir()) == [path]
 

@@ -54,6 +54,14 @@ def test_manifest_records_scf_iterations(tiny_run):
     assert manifest["scf_iterations"] == len(orbitals.scf_energies) == 3
 
 
+def test_manifest_records_library_versions(tiny_run):
+    import scipy
+
+    _, res, _ = tiny_run
+    versions = json.loads(res.manifest_path.read_text())["versions"]
+    assert versions == {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
 def test_summary_contents(tiny_run):
     cfg, res, _ = tiny_run
     summary = read_summary(res.summary_path, expect_config_hash=config_hash(cfg))
