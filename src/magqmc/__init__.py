@@ -1,6 +1,6 @@
 """Ground-state energies of atoms and ions in neutron-star magnetic fields.
 
-A numpy/scipy library implementing the full pipeline: analytic transverse
+A numpy library implementing the full pipeline: analytic transverse
 orbitals and effective 1D interaction kernels, a B-spline self-consistent
 field solver for the longitudinal orbitals, a Slater-Jastrow guiding
 function, and variational, fixed-phase and released-phase diffusion Monte

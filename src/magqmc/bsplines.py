@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.polynomial.legendre import leggauss
 
 
 def bisect(f, lo: float, hi: float) -> float:
@@ -115,7 +115,9 @@ class PiecewisePolynomial:
         """The pieces of sum_i coeffs[i] B_i between the distinct knots:
         coefficient k - d is the right-sided d-th derivative at each
         interval's left end over d!."""
-        x = np.unique(knots)
+        t = np.asarray(knots, dtype=float)
+        # the knots are sorted; np.unique would also load numpy.ma
+        x = t[np.concatenate([[True], t[1:] != t[:-1]])]
         c = np.asarray(coeffs, dtype=float)
         pieces = [np.tensordot(bspline_design(knots, degree, x[:-1], d), c, axes=1)
                   / math.factorial(d) for d in range(degree, -1, -1)]
@@ -125,8 +127,8 @@ class PiecewisePolynomial:
     def cubic_fit(cls, x, y) -> "PiecewisePolynomial":
         """Not-a-knot cubic interpolant of ``y`` (shape (len(x),) + trailing).
 
-        The same banded system for the node slopes, and the same coefficient
-        formulas, as scipy's ``CubicSpline``; at least 4 points.
+        The same tridiagonal system for the node slopes, and the same
+        coefficient formulas, as scipy's ``CubicSpline``; at least 4 points.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -138,20 +140,31 @@ class PiecewisePolynomial:
             raise ValueError("x must be strictly increasing")
         dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
         slope = np.diff(y, axis=0) / dxr
-        ab = np.zeros((3, n))
+        # row i: lower[i - 1] s[i - 1] + diag[i] s[i] + upper[i] s[i + 1] = b[i]
+        h = dx.tolist()
+        lower = h[1:] + [x[-1] - x[-3]]
+        diag = [h[1]] + [2 * (a + c) for a, c in zip(h, h[1:])] + [h[-2]]
+        upper = [x[2] - x[0]] + h[:-1]
         b = np.empty_like(y)
-        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        ab[0, 2:] = dx[:-1]
-        ab[-1, :-2] = dx[1:]
         b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
         d = x[2] - x[0]
-        ab[1, 0], ab[0, 1] = dx[1], d
         b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
         d = x[-1] - x[-3]
-        ab[1, -1], ab[-1, -2] = dx[-2], d
         b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-        s = solve_banded((1, 1), ab, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
-                         check_finite=False).reshape(y.shape)
+        # Elimination without pivoting, one sweep for all columns: the
+        # interior rows are diagonally dominant, and the not-a-knot end rows,
+        # which are not, have a nonzero pivot after one elimination step
+        # (dx[0] + dx[1] in row 1, at least dx[-2]^2 / (2 dx[-2] + dx[-1]) in
+        # the last row). b becomes the node slopes s in place.
+        for i in range(1, n):
+            f = lower[i - 1] / diag[i - 1]
+            diag[i] -= f * upper[i - 1]
+            b[i] -= f * b[i - 1]
+        s = b
+        s[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            s[i] -= upper[i] * s[i + 1]
+            s[i] /= diag[i]
         # Hermite pieces from the node values and slopes
         t = (s[:-1] + s[1:] - 2 * slope) / dxr
         return cls(x, np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])))
@@ -272,7 +285,7 @@ class SplineBasis:
         self.n_funcs = n_full - 2  # Dirichlet: drop first and last function
 
         # per-element Gauss-Legendre nodes
-        xg, wg = np.polynomial.legendre.leggauss(self.quad_points)
+        xg, wg = leggauss(self.quad_points)
         zq, wq = [], []
         for a, b in zip(bp[:-1], bp[1:]):
             zq.append(0.5 * (b - a) * xg + 0.5 * (a + b))

@@ -30,13 +30,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
 
 from .bsplines import SplineBasis, graded_breakpoints
 from .config import Occupation, RunConfig
 from .errors import SolverError
 from .iofiles import read_artifact, write_artifact
-from .kernels import KernelTable, image_product
+from .kernels import KernelTable, image_exchange
 from .units import EnergyValue
 
 logger = logging.getLogger(__name__)
@@ -87,25 +86,40 @@ def count_nodes(vals: np.ndarray, rel_tol: float = 1e-3, mass_window: float = 0.
     return int(np.sum(np.sign(v[1:]) != np.sign(v[:-1])))
 
 
+def inverse_cholesky(s_matrix: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor S = L L^T of an overlap matrix; raises
+    :class:`BasisError` if S is not positive definite."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(s_matrix))
+    except np.linalg.LinAlgError as exc:
+        raise BasisError(f"overlap matrix is not positive definite: {exc}") from exc
+
+
 def solve_channel(
     basis: SplineBasis,
     h_matrix: np.ndarray,
     s_matrix: np.ndarray,
     n_states: int,
     residual_tol: float = 1e-10,
+    s_factor: np.ndarray | None = None,
 ):
     """Lowest generalized eigenpairs of (h, s); coefficient columns are
     s-orthonormal. Verifies the Galerkin residual of each returned pair.
 
-    The eigenvalues returned are the Rayleigh quotients v'hv / v'sv of the
-    returned vectors, not the raw ``eigh`` values: on a graded mesh the
-    overlap is ill-conditioned and the raw values sit ~1e-12 away from the
-    quotient, whose error is second order in the eigenvector's error.
+    The pairs come from the standard problem L^-1 h L^-T u = lambda u, v =
+    L^-T u, with ``s_factor`` = L^-1 of :func:`inverse_cholesky`, taken if
+    not given. The eigenvalues returned are the Rayleigh quotients v'hv /
+    v'sv of the returned vectors, not the raw ``eigh`` values: on a graded
+    mesh the overlap is ill-conditioned and the raw values sit ~1e-12 away
+    from the quotient, whose error is second order in the eigenvector's error.
     """
+    if s_factor is None:
+        s_factor = inverse_cholesky(s_matrix)
     try:
-        _, v = eigh(h_matrix, s_matrix, subset_by_index=(0, n_states - 1))
+        _, u = np.linalg.eigh(s_factor @ h_matrix @ s_factor.T)
     except np.linalg.LinAlgError as exc:
         raise BasisError(f"generalized eigensolve failed: {exc}") from exc
+    v = s_factor.T @ u[:, :n_states]
     hv = h_matrix @ v
     sv = s_matrix @ v
     w = np.sum(v * hv, axis=0) / np.sum(v * sv, axis=0)
@@ -210,8 +224,9 @@ class MeanFieldWorkspace:
 
         The Y_k are folded into their even (s) and odd (d) parts on the half
         grid, where Y^T X Y = 1/2 (Y_s^T Xe Y_s + Y_d^T Xo Y_d). Per parity
-        and channel of a pair, the exchange array multiplies the stacked Y_k
-        of the other channel in one product.
+        and channel of a pair, :func:`~magqmc.kernels.image_exchange` takes
+        the sum over the stacked Y_k of the other channel from the stored
+        triangle of the exchange array, as S + S^T.
         """
         basis = self.basis
         nb = basis.n_funcs
@@ -220,18 +235,12 @@ class MeanFieldWorkspace:
         y = {m: self._fold(np.hstack([(basis.wq * f_quad[k])[:, None] * basis.bq for k in ks]))
              for m, ks in self.channels.items()}
         kx = {m: np.zeros((nb, nb)) for m in self.ms}  # 2 K_m
-
-        def contract(yk, xy):
-            # sum_k Y_k^T (X Y_k) over the column blocks k of both: one GEMM
-            # over rows ordered (node, orbital)
-            return yk.reshape(-1, nb).T @ xy.reshape(-1, nb)
-
         for (a, b), (packed, delta) in self.x_pairs.items():
             # the field of channel m from the orbitals of channel k
             sides = ((a, b),) if a == b else ((a, b), (b, a))
             for p in (0, 1):
                 for m, k in sides:
-                    kx[m] += contract(y[k][p], image_product(p, packed, delta, y[k][p]))
+                    kx[m] += image_exchange(p, packed, delta, y[k][p], nb)
         return self.direct_potentials(rho), {m: 0.5 * k for m, k in kx.items()}
 
     def pack(self, udir, kx) -> np.ndarray:
@@ -288,6 +297,7 @@ def scf(
     n_orb = len(cfg.occupations)
     # node counting samples the eigenvectors on a uniform interior grid
     fine_design = basis.design_matrix(np.linspace(*basis.domain, 2001)[1:-1])
+    s_factor = inverse_cholesky(ws.s_mat)  # S is fixed: factored once
 
     def solve_all(field):
         new_c = np.zeros((n_orb, basis.n_funcs))
@@ -296,7 +306,7 @@ def scf(
             h = ws.fock(m, field)
             want = {cfg.occupations[k].nu_z: k for k in ws.channels[m]}
             n_solve = min(max(want) + 8, basis.n_funcs)
-            w, v = solve_channel(basis, h, ws.s_mat, n_solve)
+            w, v = solve_channel(basis, h, ws.s_mat, n_solve, s_factor=s_factor)
             fine = fine_design @ v
             found = {}  # node count -> its lowest column
             for col in range(n_solve):
@@ -337,11 +347,11 @@ def scf(
         rs.append(r)
         gram = np.pad(gram, ((0, 1), (0, 1)))
         gram[-1] = gram[:, -1] = [np.vdot(q, r) for q in rs]
-        lam = eigvalsh(gram)  # not np.linalg.cond: its SVD adds ~1 MiB of resident LAPACK
+        lam = np.linalg.eigvalsh(gram)  # not np.linalg.cond: its SVD pages in more LAPACK
         while len(rs) > DIIS_DEPTH or len(rs) > 1 and lam[0] * DIIS_MAX_COND < lam[-1]:
             del xs[0], rs[0]
             gram = gram[1:, 1:]
-            lam = eigvalsh(gram)
+            lam = np.linalg.eigvalsh(gram)
         n = len(rs)
         bordered = np.block([[gram, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
         c = np.linalg.solve(bordered, np.eye(n + 1)[n])[:n]

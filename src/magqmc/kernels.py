@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymm, dsyrk
+from numpy.polynomial.legendre import leggauss
 
 from . import iofiles
 from .bsplines import PiecewisePolynomial, bisect, locate
@@ -77,6 +77,8 @@ _ZETA_CHUNK = 256
 _PAIR_BLOCK = 32768
 #: points below which _lower_kernels takes its exponentials directly
 _LEAF = 8
+#: row blocks of the half grid in image_exchange
+_EXCHANGE_BLOCKS = 5
 
 
 class KernelAccuracyError(SolverError):
@@ -189,7 +191,7 @@ def _panel_edges(gamma: float, span: float, qmax: float, max_degree: int) -> np.
 
 def _gauss_legendre_rule(edges: np.ndarray, n: int):
     """Nodes and weights of the n-point Gauss-Legendre rule on every panel."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     lo, hi = edges[:-1, None], edges[1:, None]
     half = 0.5 * (hi - lo)
     return (lo + half * (1.0 + x)).ravel(), (half * w).ravel()
@@ -322,8 +324,8 @@ class KernelTable:
             raise ValueError("the grid must be mirror-symmetric about z = 0 and inside the span")
         image = _decay(half, self.q)  # (h, n_q)
         # row i: the factors into z_i (forward) and z_{h-1-i} (backward)
-        decay = _decay(np.diff(half), self.q)[:, None, None]
-        decay = np.concatenate([decay, decay[::-1]], axis=1)
+        step = np.diff(half)
+        decay = _decay(np.column_stack([step, step[::-1]]), self.q)[:, :, None]
 
         def potentials(rho: dict) -> dict:
             s = self._s[:, [self.ms.index(m) for m in rho]]
@@ -367,15 +369,21 @@ class KernelTable:
             raise ValueError("the half grid must be sorted, in [0, span / 2)")
         ms = sorted(set(int(m) for m in ms))
         # X_mm = D_mm from the rule: K(z_i + z_l) = sum_j wf_j e_ij e_lj, e =
-        # exp(-outer(z, q)), is one rank-n_q update (BLAS syrk) of e sqrt(wf)
+        # exp(-outer(z, q)), is the product of e sqrt(wf) with its transpose
         wf = np.column_stack([self._form(m, m) for m in ms])
         k_minus = np.zeros((len(ms), n, n))
         _lower_kernels(z, self.q, wf, k_minus)
         e, x = _decay(z, self.q), {}
+        below = np.tri(n, dtype=bool)  # on and below the diagonal
         for m, km, root in zip(ms, k_minus, np.sqrt(wf.T)):
-            kp = dsyrk(1.0, e * root, lower=1)  # the lower triangle of K(z_i + z_l)
-            # the transpose of the packed array: Ke on and below the diagonal, Ko above
-            x[m, m] = ((np.tril(km + kp) + np.tril(km - kp, -1).T).T, -2.0 * np.diag(kp))
+            kp = e * root
+            kp = kp @ kp.T  # K(z_i + z_l); numpy forms a @ a.T as a symmetric rank-k update
+            # km becomes the transpose of the packed array in place: Ko
+            # above the diagonal, from its lower triangle, then Ke on and below
+            for i in range(n - 1):
+                np.subtract(km[i + 1:, i], kp[i + 1:, i], out=km[i, i + 1:])
+            np.add(km, kp, out=km, where=below)
+            x[m, m] = km.T, -2.0 * np.diag(kp)
         splined = {(a, b): (np.empty((n, n), order="F"), np.empty(n))
                    for i, a in enumerate(ms) for b in ms[i + 1:]}
         rows = max(1, _PAIR_BLOCK // max(2 * n, 1))
@@ -443,19 +451,36 @@ def _lower_kernels(z, q, wf, out) -> None:
     _lower_kernels(z[m:], q, wf, out[:, m:, m:])
 
 
-def image_product(parity: int, packed: np.ndarray, delta: np.ndarray, v: np.ndarray):
-    """The even (``parity`` 0) or odd (1) image kernel of a
-    :meth:`KernelTable.pair_matrices` array times the C-order matrix ``v``.
+def image_exchange(parity: int, packed: np.ndarray, delta: np.ndarray, y: np.ndarray,
+                   width: int) -> np.ndarray:
+    """sum_k Y_k^T K Y_k for the even (``parity`` 0) or odd (1) image kernel K
+    of a :meth:`KernelTable.pair_matrices` array, Y_k the column blocks of
+    ``width`` of the C-order matrix ``y``.
 
-    BLAS symm takes v^T K, whose transpose is returned: v^T is
-    Fortran-order, which the BLAS wrappers take without a copy. The odd
-    kernel reads the lower triangle, whose diagonal is the even one's, and
-    adds diag(delta) v in place.
+    K = N + N^T, with N the stored triangle of K (Ke above the diagonal, Ko
+    below) plus half its diagonal, so the sum is S + S^T with S = sum_k
+    Y_k^T W_k and W = N y. W is taken in _EXCHANGE_BLOCKS row blocks I: the
+    triangle of the diagonal block, then the full blocks of N beside it,
+    P_{I,>I} y_{>I} (even) or P_{I,<I} y_{<I} (odd).
     """
-    vt = v.T
-    if parity == 0:
-        return dsymm(1.0, packed, vt, side=1).T
-    return dsymm(1.0, packed, vt, beta=1.0, c=vt * delta, side=1, lower=1, overwrite_c=1).T
+    h = len(y)
+    w = np.empty_like(y)
+    edges = [h * i // _EXCHANGE_BLOCKS for i in range(_EXCHANGE_BLOCKS + 1)]
+    # 1 above the diagonal, 1/2 on it, 0 below: N_II is a diagonal block times it
+    b = edges[-1] - edges[-2]
+    mask = np.tri(b, k=-1).T + 0.5 * np.eye(b)
+    if parity:
+        mask = mask.T
+    for r0, r1 in zip(edges, edges[1:]):
+        tri = packed[r0:r1, r0:r1] * mask[:r1 - r0, :r1 - r0]
+        if parity:
+            tri.flat[::r1 - r0 + 1] += 0.5 * delta[r0:r1]
+        np.matmul(tri, y[r0:r1], out=w[r0:r1])
+        rest = slice(0, r0) if parity else slice(r1, h)
+        if rest.start < rest.stop:
+            w[r0:r1] += packed[r0:r1, rest] @ y[rest]
+    s = y.reshape(-1, width).T @ w.reshape(-1, width)
+    return s + s.T
 
 
 def build_kernel_table(field_beta: float, gamma: float, z_charge: float, ms,

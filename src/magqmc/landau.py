@@ -16,15 +16,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 
 def norm_const(m: int, gamma: float) -> float:
-    """Normalization sqrt(gamma^(m+1) / (2^(m+1) pi m!)), computed in log form."""
-    return math.exp(
-        0.5 * ((m + 1) * (math.log(gamma) - math.log(2.0)) - math.log(math.pi)
-               - gammaln(m + 1))
-    )
+    """Normalization sqrt(gamma^(m+1) / (2^(m+1) pi m!)), for m <= 170.
+
+    Taken straight from the closed form, to a few 1e-16 relative; the log
+    form lost up to 2e-14 at m <= 25 to the rounding of its exponent.
+    """
+    return math.sqrt((0.5 * gamma) ** (m + 1) / (math.pi * math.factorial(m)))
+
+
+def laguerre(n: int, nu: int, t) -> np.ndarray:
+    """Generalized Laguerre polynomial L_n^(nu)(t), vectorized over t, by the
+    three-term recurrence (k + 1) L_(k+1) = (2k + 1 + nu - t) L_k - (k + nu) L_(k-1)."""
+    t = np.asarray(t, dtype=float)
+    prev, cur = np.ones_like(t), 1.0 + nu - t
+    if n == 0:
+        return prev
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + nu - t) * cur - (k + nu) * prev) / (k + 1)
+    return cur
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,7 @@ def form_factor(m: int, q, gamma: float):
     interaction with one smeared transverse density to a 1D q-integral.
     """
     t = np.asarray(q, dtype=float) ** 2 / (2.0 * gamma)
-    return eval_genlaguerre(m, 0, t) * np.exp(-t)
+    return laguerre(m, 0, t) * np.exp(-t)
 
 
 def mixed_form_factor(m1: int, m2: int, q, gamma: float):
@@ -107,11 +119,11 @@ def mixed_form_factor(m1: int, m2: int, q, gamma: float):
     nu, n = m1 - m2, m2
     t = q * q / (2.0 * gamma)
     log_a = (
-        0.5 * (gammaln(n + 1) - gammaln(m1 + 1))
+        0.5 * (math.lgamma(n + 1) - math.lgamma(m1 + 1))
         - nu * 0.5 * (math.log(2.0) + math.log(gamma))
     )
     pref = np.exp(log_a + nu * np.log(np.where(q > 0, q, 1.0)))
     pref = np.where((q == 0) & (nu > 0), 0.0, pref)
     if nu == 0:
         pref = np.exp(log_a) * np.ones_like(q)
-    return pref * np.exp(-t) * eval_genlaguerre(n, nu, t)
+    return pref * np.exp(-t) * laguerre(n, nu, t)

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import erfcx
 
 from .errors import SolverError
 
@@ -43,6 +41,9 @@ def _fd_eigs(v_vals: np.ndarray, h: float, k: int):
     ``eigh_tridiagonal`` bisects to an interval of eps |T|_1, and the Sturm
     counts it bisects on carry rounding of the same size; |T|_1 ~ 2/h^2.
     """
+    # a reference path: scipy is loaded only when an oracle runs
+    from scipy.linalg import eigh_tridiagonal
+
     main = 1.0 / h**2 + v_vals
     off = np.full(len(v_vals) - 1, -0.5 / h**2)
     w, v = eigh_tridiagonal(main, off, select="i", select_range=(0, k - 1))
@@ -116,6 +117,8 @@ def nuclear_kernel_m0_closed(gamma: float, z_charge: float, z):
     evaluated through the scaled complementary error function for
     stability at large |z|.
     """
+    from scipy.special import erfcx
+
     t = np.sqrt(gamma / 2.0) * np.abs(np.asarray(z, dtype=float))
     return -z_charge * math.sqrt(math.pi * gamma / 2.0) * erfcx(t)
 

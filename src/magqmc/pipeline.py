@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
+# numpy loads its random module on first use: here, at import, not inside a run
+from numpy.random import default_rng
 
 from . import iofiles
 from .config import ConfigError, RunConfig, config_hash, physics_hash, render_config
@@ -152,7 +153,7 @@ def run_pipeline(
     guiding = guiding_for(cfg, orbitals)
 
     # --- state: fresh or resumed -------------------------------------------
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     stage_rows: dict[str, list[BlockStats]] = {}
     start_stage, resumed_control = 0, None
     if ck is not None:
@@ -244,7 +245,7 @@ def run_pipeline(
             "checkpoint": str(ckpt_path),
         },
         "scf_iterations": len(orbitals.scf_energies),
-        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {"numpy": np.__version__},
         "timings_sec": {k: round(v, 3) for k, v in timings.items()},
         "total_sec": round(time.perf_counter() - t_start, 3),
     }

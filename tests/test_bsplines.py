@@ -122,15 +122,16 @@ def test_coefficient_spline_matches_scipy_bspline(basis):
 
 
 def test_cubic_fit_matches_scipy_cubic_spline():
-    x = graded_grid(12.0, 60, 1e-3)
-    y = np.column_stack([np.exp(-x), 1.0 / np.sqrt(1.0 + x * x)])
-    fit = PiecewisePolynomial.cubic_fit(x, y)
-    ref = CubicSpline(x, y)
-    assert fit.c.shape == ref.c.shape
-    scale = np.abs(ref.c).max(axis=1, keepdims=True)
-    assert np.all(np.abs(fit.c - ref.c) <= 1e-13 * scale)
-    z = np.concatenate([x, 0.5 * (x[:-1] + x[1:])])
-    assert np.allclose(fit(z), ref(z), rtol=1e-13, atol=0)
+    # a graded grid, and the fewest points a not-a-knot fit takes
+    for x in (graded_grid(12.0, 60, 1e-3), np.array([0.0, 0.1, 1.5, 1.7])):
+        y = np.column_stack([np.exp(-x), 1.0 / np.sqrt(1.0 + x * x)])
+        fit = PiecewisePolynomial.cubic_fit(x, y)
+        ref = CubicSpline(x, y)
+        assert fit.c.shape == ref.c.shape
+        scale = np.abs(ref.c).max(axis=1, keepdims=True)
+        assert np.all(np.abs(fit.c - ref.c) <= 1e-13 * scale)
+        z = np.concatenate([x, 0.5 * (x[:-1] + x[1:])])
+        assert np.allclose(fit(z), ref(z), rtol=1e-13, atol=0)
     with pytest.raises(ValueError):
         PiecewisePolynomial.cubic_fit(x[:3], y[:3])
 

@@ -172,20 +172,41 @@ def test_every_error_class_has_an_exit_code():
         assert cls.exit_code in (2, 3, 4), cls
 
 
-def test_runtime_imports_no_scipy_interpolate_optimize_integrate():
-    # each would add megabytes to every run; the reference kernels import
-    # scipy.integrate only when called
+#: prepended to a child's code: a finder that refuses every scipy import
+REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is refused here: {name}")
+
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
     import magqmc
 
-    code = ("import json, sys, magqmc, magqmc.cli, magqmc.oracles; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))")
     src = str(Path(magqmc.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True).stdout
-    loaded = {".".join(m.split(".")[:2]) for m in json.loads(out)}
-    assert "scipy.linalg" in loaded
-    assert not {"scipy.interpolate", "scipy.optimize", "scipy.integrate"} & loaded
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+
+
+def test_runtime_loads_no_scipy(cfg_file, tmp_path):
+    # scipy is a test dependency only: importing the package, its CLI and its
+    # oracles loads none of it, and the oracles import it when they run
+    proc = _python("import json, sys, magqmc, magqmc.cli, magqmc.oracles; "
+                   "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    # an HF solve and a full run work with every scipy import refused
+    cache = tmp_path / "cache"
+    for argv in (["hf", "--config", str(cfg_file)], ["run", "--config", str(cfg_file)]):
+        proc = _python(REFUSE_SCIPY + f"import os\nos.environ['MAGQMC_CACHE_DIR'] = {str(cache)!r}\n"
+                       f"from magqmc.cli import main\nsys.exit(main({argv!r}))")
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_hf_solver_failure_exit_3(cfg_file, capsys, monkeypatch):

@@ -72,6 +72,29 @@ def test_box_limit_of_channel_solver():
     assert w[1] == pytest.approx(4 * exact, rel=1e-8)
 
 
+@pytest.mark.parametrize("system", ["he+", "c6"])
+def test_channel_eigensolve_matches_scipy_generalized_eigh(system, he_kernels):
+    # the bare channel matrices T + V_m of Z = 2 at 1e8 T, and of C6 at 5e8 T
+    # on 36 elements
+    if system == "he+":
+        cfg, kernels = parse_config_text("z = 2\nn_electrons = 1\nb_tesla = 1e8\n"), he_kernels
+    else:
+        cfg = parse_config_text("z = 6\nn_electrons = 6\nb_tesla = 5e8\nhf_elements = 36\n")
+        kernels = build_kernel_table(cfg.field.beta, cfg.field.gamma, 6.0, range(6),
+                                     kernel_grid_for(cfg))
+    basis = basis_for_config(cfg)
+    s = basis.overlap()
+    for m in kernels.ms:
+        h = basis.kinetic() + basis.potential_matrix(kernels.nuclear(m, basis.zq))
+        w, v = solve_channel(basis, h, s, 8)
+        _, ref = eigh(h, s, subset_by_index=(0, 7))
+        quotient = np.sum(ref * (h @ ref), axis=0) / np.sum(ref * (s @ ref), axis=0)
+        np.testing.assert_allclose(w, quotient, rtol=1e-12, atol=0)
+        # equal up to sign, to the eigenvectors' own rounding (~eps cond(S) / gap)
+        v = v * np.sign(np.sum(v * (s @ ref), axis=0))
+        assert np.all(np.abs(v - ref).max(axis=0) <= 1e-8 * np.abs(ref).max(axis=0))
+
+
 def test_residual_guard_rejects_bad_overlap():
     basis = SplineBasis(graded_breakpoints(4.0, 6), order=6)
     s = basis.overlap()

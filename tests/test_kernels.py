@@ -12,8 +12,9 @@ from magqmc.kernels import (
     cache_key,
     direct_kernel,
     exchange_kernel,
+    _EXCHANGE_BLOCKS,
     graded_grid,
-    image_product,
+    image_exchange,
     nuclear_kernel,
 )
 from magqmc.config import parse_config_text
@@ -170,17 +171,23 @@ def test_pair_matrices_need_a_sorted_half_grid_inside_the_span(small_table):
         small_table.pair_matrices(np.array([0.1, 0.5 * small_table.span]), [0])
 
 
-def test_image_products_match_dense_parity_matrices(small_table):
+@pytest.mark.parametrize("h", [61, _EXCHANGE_BLOCKS - 1, 360],
+                         ids=["odd", "fewer-rows-than-blocks", "c6-36-elements"])
+@pytest.mark.parametrize("orbitals", [1, 2])
+def test_image_exchange_matches_dense_parity_matrices(small_table, h, orbitals):
+    # sum_k Y_k^T K Y_k against the dense Ke/Ko of point evaluations
     rng = np.random.default_rng(3)
-    z = np.sort(rng.uniform(0.0, 0.49 * small_table.span, 60))
+    z = np.sort(rng.uniform(0.0, 0.49 * small_table.span, h))
     minus, plus = np.abs(z[:, None] - z[None, :]), z[:, None] + z[None, :]
-    y = rng.standard_normal((len(z), 11))
+    width = 11
+    y = rng.standard_normal((h, orbitals * width))
+    blocks = [y[:, k * width:(k + 1) * width] for k in range(orbitals)]
     for (a, b), (packed, delta) in small_table.pair_matrices(z, [0, 1]).items():
         k_minus, k_plus = small_table.exchange(a, b, minus), small_table.exchange(a, b, plus)
         for parity, dense in enumerate((k_minus + k_plus, k_minus - k_plus)):
-            want = dense @ y
-            got = image_product(parity, packed, delta, y)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            want = sum(yk.T @ dense @ yk for yk in blocks)
+            got = image_exchange(parity, packed, delta, y, width)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_direct_potentials_match_the_dense_rule_product():

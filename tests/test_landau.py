@@ -1,16 +1,23 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import jv
+from scipy.special import eval_genlaguerre, gammaln, jv
 
+from magqmc.config import parse_config_text
+from magqmc.kernels import build_kernel_table
 from magqmc.landau import (
     LandauOrbital,
     eval_transverse,
     form_factor,
+    laguerre,
     mixed_form_factor,
     norm_const,
     transverse_value_grad_lap,
 )
+from magqmc.pipeline import kernel_grid_for
 
 GAMMA_HE = 2 * 212.7207
 
@@ -148,3 +155,55 @@ def test_mixed_form_factor_against_hankel_quadrature(m1, m2, q):
         0, np.inf, limit=200,
     )[0]
     assert mixed_form_factor(m1, m2, q, gamma) == pytest.approx(direct, rel=1e-8)
+
+
+# -- the numpy special functions against scipy's, which they replaced -------
+
+
+@pytest.fixture(scope="module", params=["he+", "c6"])
+def q_rule(request):
+    """(q nodes, gamma) of the He+ (1e8 T) and C6 (5e8 T) kernel tables."""
+    text = {"he+": "z = 2\nn_electrons = 1\nb_tesla = 1e8\n",
+            "c6": "z = 6\nn_electrons = 6\nb_tesla = 5e8\n"}[request.param]
+    cfg = parse_config_text(text)
+    table = build_kernel_table(cfg.field.beta, cfg.field.gamma, float(cfg.z),
+                               [o.m for o in cfg.occupations], kernel_grid_for(cfg))
+    return table.q, table.gamma
+
+
+def _within_column_max(got, want, rtol=1e-13):
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def test_laguerre_matches_scipy_on_the_q_rule(q_rule):
+    q, gamma = q_rule
+    t = q * q / (2 * gamma)
+    for n in range(26):
+        for nu in range(26 - n):
+            assert _within_column_max(laguerre(n, nu, t), eval_genlaguerre(n, nu, t)), (n, nu)
+
+
+def test_mixed_form_factor_matches_scipy_on_the_q_rule(q_rule):
+    q, gamma = q_rule
+    t = q * q / (2 * gamma)
+    for m1 in range(26):
+        for m2 in range(m1 + 1):
+            nu, n = m1 - m2, m2
+            log_a = 0.5 * (gammaln(n + 1) - gammaln(m1 + 1)) - 0.5 * nu * np.log(2 * gamma)
+            want = np.exp(log_a) * q**nu * np.exp(-t) * eval_genlaguerre(n, nu, t)
+            for pair in ((m1, m2), (m2, m1)):
+                assert _within_column_max(mixed_form_factor(*pair, q, gamma), want), pair
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.3, GAMMA_HE, 4254.4])
+def test_norm_const_matches_exact_rational_closed_form(gamma):
+    for m in range(26):
+        # c_m^2 exact in rationals, up to the rounding of pi to a double
+        exact = Fraction(gamma / 2) ** (m + 1) / (Fraction(math.pi) * math.factorial(m))
+        want = math.sqrt(float(exact))
+        assert abs(norm_const(m, gamma) / want - 1.0) <= 1e-15, m
+        # the log form with scipy's gammaln, which it replaced, is only good to
+        # the rounding of its exponent
+        old = math.exp(0.5 * ((m + 1) * (math.log(gamma) - math.log(2.0)) - math.log(math.pi)
+                              - gammaln(m + 1)))
+        assert abs(old / want - 1.0) <= 3e-14, m
