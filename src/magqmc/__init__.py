@@ -31,7 +31,7 @@ from .kernels import (
 )
 from .landau import LandauOrbital, eval_transverse
 from .pipeline import PipelineResult, ensure_kernels, ensure_orbitals, run_pipeline
-from .sampler import WalkerPopulation, init_walkers, metropolis_step, vqmc_block
+from .sampler import WalkerPopulation, init_walkers, metropolis_step
 from .slater import slater_eval
 from .units import B0_TESLA, EnergyValue, FieldStrength, beta_from_tesla, hartree_to_kev, kev_to_hartree
 
@@ -83,5 +83,4 @@ __all__ = [
     "save_orbitals",
     "scf",
     "slater_eval",
-    "vqmc_block",
 ]

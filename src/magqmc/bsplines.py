@@ -246,6 +246,10 @@ def graded_breakpoints(
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
+#: Gauss-Legendre nodes per element, and the multiplicity of the knot at z = 0
+QUAD_POINTS, CENTER_MULTIPLICITY = 10, 3
+
+
 @dataclass
 class SplineBasis:
     """B-spline basis with Dirichlet ends and per-element Gauss quadrature.
@@ -256,8 +260,6 @@ class SplineBasis:
 
     breakpoints: np.ndarray
     order: int = 6
-    quad_points: int = 10
-    center_multiplicity: int = 3
 
     knots: np.ndarray = field(init=False)
     degree: int = field(init=False)
@@ -276,7 +278,7 @@ class SplineBasis:
         self.degree = p
         interior = []
         for b in bp[1:-1]:
-            mult = self.center_multiplicity if b == 0.0 else 1
+            mult = CENTER_MULTIPLICITY if b == 0.0 else 1
             interior.extend([b] * min(mult, p))
         self.knots = np.concatenate(
             [np.full(p + 1, bp[0]), np.asarray(interior), np.full(p + 1, bp[-1])]
@@ -285,7 +287,7 @@ class SplineBasis:
         self.n_funcs = n_full - 2  # Dirichlet: drop first and last function
 
         # per-element Gauss-Legendre nodes
-        xg, wg = leggauss(self.quad_points)
+        xg, wg = leggauss(QUAD_POINTS)
         zq, wq = [], []
         for a, b in zip(bp[:-1], bp[1:]):
             zq.append(0.5 * (b - a) * xg + 0.5 * (a + b))

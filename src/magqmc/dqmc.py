@@ -1,7 +1,9 @@
-"""Fixed-phase and released-phase diffusion of the walker population.
+"""The block loop of every stage: variational sampling, then fixed-phase
+and released-phase diffusion of the same walker population.
 
-Each diffusion step is the Metropolis drift-diffusion move of the sampler
-followed by the short-time branching weight
+:func:`run_stage` runs all three. A variational step is the sampler's
+Metropolis drift-diffusion move; a diffusion step is that move followed by
+the short-time branching weight
 
     w *= exp(-dtau (  (E_L(R') + E_L(R))/2 - E_T ))
 
@@ -25,7 +27,7 @@ import numpy as np
 from .config import StageSpec
 from .errors import SamplingError
 from .guiding import GuidingFunction
-from .sampler import BlockStats, WalkerPopulation, _take_eval, metropolis_step, vqmc_block
+from .sampler import BlockStats, WalkerPopulation, metropolis_step
 
 logger = logging.getLogger(__name__)
 
@@ -86,15 +88,8 @@ def branch(pop: WalkerPopulation, rng: np.random.Generator, target: int) -> Walk
         weight=np.ones(len(idx)),
         phase=pop.phase[idx],
         age=pop.age[idx],
-        ev=_take_eval(pop.ev, idx),
+        ev=pop.ev.take(idx),
     )
-
-
-@dataclass
-class StepDiagnostics:
-    clamped: int = 0
-    accepted: int = 0
-    proposed: int = 0
 
 
 def fp_step(
@@ -104,11 +99,14 @@ def fp_step(
     e_trial: float,
     rng: np.random.Generator,
     released: bool = False,
-    diag: StepDiagnostics | None = None,
-) -> WalkerPopulation:
-    """One drift-diffusion-branching step at fixed (or released) phase."""
+) -> tuple[WalkerPopulation, int, int]:
+    """One drift-diffusion move and its branching weight, at fixed (or
+    released) phase; the walkers are replicated afterwards by :func:`branch`.
+
+    Returns (population, accepted moves, weights clipped to WEIGHT_CLAMP).
+    """
     e_old = pop.ev.e_loc
-    pop, n_acc = metropolis_step(pop, guiding, dtau, rng)
+    pop, accepted = metropolis_step(pop, guiding, dtau, rng)
     e_new = pop.ev.e_loc
 
     e_mid_fp = 0.5 * (np.real(e_old) + np.real(e_new))
@@ -119,17 +117,13 @@ def fp_step(
                          np.log(lo / pop.weight) - 1.0, np.log(hi / pop.weight) + 1.0)
     weight = pop.weight * np.exp(log_growth)
     clamped = int(np.count_nonzero((weight < lo) | (weight > hi)))
-    if diag is not None:
-        diag.clamped += clamped
-        diag.accepted += n_acc
-        diag.proposed += pop.size
     if clamped:
         weight = np.clip(weight, lo, hi)
 
     phase = pop.phase
     if released:
         phase = phase - dtau * 0.5 * (np.imag(e_old) + np.imag(e_new))
-    return replace(pop, weight=weight, phase=phase)
+    return replace(pop, weight=weight, phase=phase), accepted, clamped
 
 
 @dataclass
@@ -179,92 +173,78 @@ def run_stage(
 ) -> tuple[WalkerPopulation, StageResult]:
     """Run (or resume) one stage of the schedule, one BlockStats per block.
 
-    The stage's name sets its mode: ``vqmc`` samples |Psi_G|^2 with
-    Metropolis step ``dtau``; ``fpdqmc`` and ``rpdqmc`` diffuse with time
-    step ``dtau`` under ``control``, and ``rpdqmc`` also carries the walker
-    phases. A stage resumes after its ``prior_stats``: the first new block
-    is ``len(prior_stats)``, and a released stage resets the phases only
-    when it starts fresh.
+    Every stage runs the same block loop. The stage's name sets the step:
+    ``vqmc`` samples |Psi_G|^2 by :func:`metropolis_step` with step
+    ``dtau``; ``fpdqmc`` and ``rpdqmc`` take :func:`fp_step` with time step
+    ``dtau`` and then :func:`branch` under ``control``, and ``rpdqmc`` also
+    carries the walker phases. The block energy is sum w E_L / sum w over
+    the block's steps, with w = 1 in ``vqmc``, the walker weight in
+    ``fpdqmc`` and the complex weight w e^{i theta} in ``rpdqmc``. A stage
+    resumes after its ``prior_stats``: the first new block is
+    ``len(prior_stats)``, and a released stage resets the phases only when
+    it starts fresh. The weight clamps of the new blocks are counted in the
+    result's ``weight_clamps``.
     """
     stats: list[BlockStats] = list(prior_stats or [])
     kept = [s.e_block for s in stats if not s.equilibration and not s.excluded]
     signal_lost_at = next((s.index for s in stats if s.excluded), None)
-    diag = StepDiagnostics()
+    clamps = 0
     warned_acceptance = False
+    diffusion = spec.stage != "vqmc"
     released = spec.stage == "rpdqmc"
-    if spec.stage != "vqmc" and control is None:
+    if diffusion and control is None:
         raise ValueError(f"{spec.stage} needs a PopulationControl")
     if released and not stats:
         pop = replace(pop, phase=np.zeros(pop.size))
 
     for blk in range(len(stats), spec.n_blocks):
-        if spec.stage == "vqmc":
-            pop, e_block, acceptance = vqmc_block(pop, guiding, spec.steps_per_block, dtau, rng)
-            signal = float("nan")
-            e_t = float("nan")
-            population = pop.size
-        else:
-            num = 0.0 + 0.0j if released else 0.0
-            den = 0.0 + 0.0j if released else 0.0
-            mag_den = 0.0
-            diag.accepted = diag.proposed = 0
-            for _ in range(spec.steps_per_block):
-                pop = fp_step(
-                    pop, guiding, dtau, control.e_trial, rng,
-                    released=released, diag=diag,
-                )
-                if released:
-                    cw = pop.weight * np.exp(1j * pop.phase)
-                    num += np.sum(cw * pop.ev.e_loc)
-                    den += np.sum(cw)
-                    mag_den += pop.total_weight
-                else:
-                    num += float(np.sum(pop.weight * np.real(pop.ev.e_loc)))
-                    den += pop.total_weight
-                pop = branch(pop, rng, control.target)
-            if released:
-                e_block = float(np.real(num / den))
-                signal = float(abs(den) / mag_den)
+        num = den = 0.0j if released else 0.0   # sum w E_L and sum w
+        mag = 0.0                                # sum |w|
+        accepted = proposed = 0
+        for _ in range(spec.steps_per_block):
+            if diffusion:
+                pop, acc, clamped = fp_step(pop, guiding, dtau, control.e_trial, rng,
+                                            released=released)
+                clamps += clamped
             else:
-                e_block = num / den
-                signal = float("nan")
-            acceptance = diag.accepted / max(diag.proposed, 1)
-            population = pop.size
-            e_t = control.update(e_block, population)
+                pop, acc = metropolis_step(pop, guiding, dtau, rng)
+            accepted += acc
+            proposed += pop.size
+            if released:
+                w, e_loc = pop.weight * np.exp(1j * pop.phase), pop.ev.e_loc
+            else:
+                w, e_loc = pop.weight, np.real(pop.ev.e_loc)
+            num += np.sum(w * e_loc)
+            den += np.sum(w)
+            mag += pop.total_weight
+            if diffusion:
+                pop = branch(pop, rng, control.target)
+        e_block = float(np.real(num / den))
+        signal = float(abs(den) / mag) if released else float("nan")
+        acceptance = accepted / max(proposed, 1)
+        e_t = control.update(e_block, pop.size) if diffusion else float("nan")
 
         # near-unit acceptance is what small-dtau diffusion wants, not vqmc
-        too_high = spec.stage == "vqmc" and acceptance > 0.99
+        too_high = not diffusion and acceptance > 0.99
         if not warned_acceptance and (acceptance < 0.01 or too_high):
             warned_acceptance = True
             logger.warning("%s acceptance %.1f%% in block %d is pathological; %s %s",
                            spec.stage, 100 * acceptance, blk,
                            "increase" if too_high else "decrease",
-                           "dtau_metropolis" if spec.stage == "vqmc" else "dtau")
+                           "dtau" if diffusion else "dtau_metropolis")
         equil = blk < spec.equilibration_blocks
-        excluded = False
-        if released and signal_lost_at is None and not math.isnan(signal) and signal < SIGNAL_FLOOR:
+        if released and signal_lost_at is None and signal < SIGNAL_FLOOR:
             signal_lost_at = blk
             logger.warning("released-phase signal lost at block %d (%.3f)", blk, signal)
-        if signal_lost_at is not None and blk >= signal_lost_at:
-            excluded = True
+        excluded = signal_lost_at is not None and blk >= signal_lost_at
         if not equil and not excluded:
             kept.append(e_block)
         e_avg, sigma = _running(kept)
-        row = BlockStats(
-            stage=spec.stage,
-            index=blk,
-            e_block=e_block,
-            e_avg=e_avg,
-            sigma=sigma,
-            acceptance=acceptance,
-            population=population,
-            e_trial=e_t,
-            rp_signal=signal,
-            equilibration=equil,
-            excluded=excluded,
-        )
+        row = BlockStats(stage=spec.stage, index=blk, e_block=e_block, e_avg=e_avg,
+                         sigma=sigma, acceptance=acceptance, population=pop.size, e_trial=e_t,
+                         rp_signal=signal, equilibration=equil, excluded=excluded)
         stats.append(row)
         if on_block is not None:
             on_block(pop, row, control)
 
-    return pop, StageResult.from_stats(spec, stats, weight_clamps=diag.clamped)
+    return pop, StageResult.from_stats(spec, stats, weight_clamps=clamps)

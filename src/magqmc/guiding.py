@@ -27,14 +27,14 @@ One evaluation is one pass over two pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .geometry import Distances, distances
 from .jastrow import JastrowParams, jastrow_u
-from .slater import GuidingOrbitals, slater_eval
+from .slater import GuidingOrbitals, slater_eval, take_fields
 
 #: proposals placing an electron closer than this to the nucleus or to
 #: another electron are rejected outright (measure-zero set; avoids NaNs).
@@ -82,6 +82,18 @@ class GuidingEval:
     phase_grad: np.ndarray # (W, N, 3) grad of the phase
     e_loc: np.ndarray      # (W,) complex local energy
     ok: np.ndarray         # (W,) False on nodes / coincidences
+
+    def take(self, idx) -> "GuidingEval":
+        """The configurations ``idx``: an index array, or 0 for a lone one."""
+        return take_fields(self, idx)
+
+    def where(self, mask: np.ndarray, other: "GuidingEval") -> "GuidingEval":
+        """This evaluation where ``mask`` (W,) holds, ``other`` elsewhere."""
+        def pick(a, b):
+            return np.where(mask.reshape(mask.shape + (1,) * (a.ndim - 1)), a, b)
+
+        return GuidingEval(*(pick(getattr(self, f.name), getattr(other, f.name))
+                             for f in fields(self)))
 
 
 class GuidingFunction:
@@ -148,7 +160,4 @@ class GuidingFunction:
             e_loc=np.where(ok, e_loc, np.nan + 0j),
             ok=ok,
         )
-        if squeeze:
-            return GuidingEval(out.log_abs[0], out.phase[0], out.drift[0],
-                               out.phase_grad[0], out.e_loc[0], out.ok[0])
-        return out
+        return out.take(0) if squeeze else out

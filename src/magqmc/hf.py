@@ -16,8 +16,9 @@ Y_k = (w f_k)[:, None] * B and B the basis values at the quadrature nodes.
 The grid is mirror-symmetric about z = 0, so K_m takes the even and odd
 image kernels X(|z - z'|) +- X(z + z') on the positive half grid, one
 packed (nq/2, nq/2) array per channel pair for BLAS symm, and the even and
-odd parts of Y_k. Each iteration builds one mean field, and its energy comes
-from it (E_dir = 1/2 sum_k rho_k . U, E_exc = 1/2 sum_k c_k^T K c_k).
+odd parts of Y_k. Each iteration evaluates the orbitals at the quadrature
+nodes once and builds one mean field from them, and its energy comes from
+it (E_dir = 1/2 sum_k rho_k . U, E_exc = 1/2 sum_k c_k^T K c_k).
 Orbitals within a channel are picked by longitudinal node count, not by
 eigenvalue index. The SCF extrapolates the Galerkin mean field U_m - K_m
 by Pulay's DIIS (Chem. Phys. Lett. 73, 393, 1980), as :func:`scf` says.
@@ -213,10 +214,11 @@ class MeanFieldWorkspace:
         pos, neg = v[self.half:], v[self.half - 1::-1]
         return pos + neg, pos - neg
 
-    def mean_field(self, coeffs: np.ndarray):
+    def mean_field(self, f_quad: np.ndarray):
         """Direct potentials on the quadrature grid and Galerkin exchange matrices.
 
-        ``coeffs[k]`` holds the basis coefficients of orbital k. Returns
+        ``f_quad[k]`` holds orbital k at the quadrature nodes (its
+        coefficients times ``basis.bq.T``). Returns
         ({m: U_m}, {m: K_m}) with U_m(z) = sum_k int D_{m m_k}(z - z') f_k(z')^2
         and K_m = sum_k Y_k^T X_{m m_k} Y_k, Y_k = (w f_k)[:, None] * bq,
         self terms included: D_mm and X_mm both come from the q rule, so
@@ -230,7 +232,6 @@ class MeanFieldWorkspace:
         """
         basis = self.basis
         nb = basis.n_funcs
-        f_quad = coeffs @ basis.bq.T
         rho = {m: sum(basis.wq * f_quad[k] ** 2 for k in ks) for m, ks in self.channels.items()}
         y = {m: self._fold(np.hstack([(basis.wq * f_quad[k])[:, None] * basis.bq for k in ks]))
              for m, ks in self.channels.items()}
@@ -255,12 +256,12 @@ class MeanFieldWorkspace:
         g[self.lower] = field[self.ms.index(m)]
         return self.t_mat + self.v_mats[m] + g + np.tril(g, -1).T
 
-    def energy(self, coeffs: np.ndarray, udir, kx):
-        """Total-energy pieces (no transverse/spin part) from the mean field
-        of the same orbitals: E_dir = 1/2 sum_k rho_k . U_{m_k} and
+    def energy(self, coeffs: np.ndarray, f_quad: np.ndarray, udir, kx):
+        """Total-energy pieces (no transverse/spin part) of the orbitals with
+        coefficients ``coeffs`` and node values ``f_quad``, from their mean
+        field: E_dir = 1/2 sum_k rho_k . U_{m_k} and
         E_exc = 1/2 sum_k c_k^T K_{m_k} c_k."""
         wq = self.basis.wq
-        f_quad = coeffs @ self.basis.bq.T
         e_kin = float(np.sum(np.einsum("ki,ij,kj->k", coeffs, self.t_mat, coeffs)))
         e_nuc = e_dir = e_exc = 0.0
         for k, occ in enumerate(self.occupations):
@@ -327,20 +328,20 @@ def scf(
     x = np.zeros((len(ws.ms), len(ws.lower[0])))
     xs, rs = [], []  # DIIS history, oldest first: fields in and their residuals
     gram = np.zeros((0, 0))  # rs[i] . rs[j]
-    f_quad = None
+    f_prev = None  # the last iteration's orbitals at the quadrature nodes
     for it in range(max_iter):
         coeffs, eigvals = solve_all(x)
-        udir, kx = ws.mean_field(coeffs)
-        parts = ws.energy(coeffs, udir, kx)
+        f_quad = coeffs @ basis.bq.T
+        udir, kx = ws.mean_field(f_quad)
+        parts = ws.energy(coeffs, f_quad, udir, kx)
         energies.append(parts["longitudinal"])
 
-        f_quad_new = coeffs @ basis.bq.T
         orb_change = np.inf
-        if f_quad is not None:
-            align = np.sign(np.sum(basis.wq * f_quad * f_quad_new, axis=1))
-            diff = f_quad_new - align[:, None] * f_quad
+        if f_prev is not None:
+            align = np.sign(np.sum(basis.wq * f_prev * f_quad, axis=1))
+            diff = f_quad - align[:, None] * f_prev
             orb_change = float(np.max(np.sqrt(np.sum(basis.wq * diff**2, axis=1))))
-        f_quad = f_quad_new
+        f_prev = f_quad
 
         r = ws.pack(udir, kx) - x
         xs.append(x)
@@ -388,7 +389,8 @@ def scf(
 def hf_total_energy(orbitals: OrbitalSet, kernels: KernelTable) -> EnergyValue:
     """Recompute the total energy functional from the stored orbitals."""
     ws = MeanFieldWorkspace(orbitals.basis, kernels, orbitals.occupations)
-    parts = ws.energy(orbitals.coeffs, *ws.mean_field(orbitals.coeffs))
+    f_quad = orbitals.coeffs @ orbitals.basis.bq.T
+    parts = ws.energy(orbitals.coeffs, f_quad, *ws.mean_field(f_quad))
     n_orb = len(orbitals.occupations)
     extra = 0.0 if orbitals.spin_zeeman_included else 0.5 * orbitals.gamma * n_orb
     return EnergyValue(parts["longitudinal"] + extra)
@@ -413,8 +415,6 @@ def save_orbitals(path, orbitals: OrbitalSet, physics_hash: str = "", config_has
         "occupations": [list(o) for o in orbitals.occupations],
         "spin_zeeman_included": orbitals.spin_zeeman_included,
         "order": basis.order,
-        "quad_points": basis.quad_points,
-        "center_multiplicity": basis.center_multiplicity,
         "e_total": orbitals.e_total,
         "energy_parts": orbitals.energy_parts,
         "physics_hash": physics_hash,
@@ -425,14 +425,8 @@ def save_orbitals(path, orbitals: OrbitalSet, physics_hash: str = "", config_has
 
 def load_orbitals(path, expect_physics_hash: str | None = None) -> OrbitalSet:
     meta, arrays = read_artifact(path, ORBITAL_FORMAT, {"physics_hash": expect_physics_hash})
-    basis = SplineBasis(
-        arrays["breakpoints"],
-        order=meta["order"],
-        quad_points=meta["quad_points"],
-        center_multiplicity=meta["center_multiplicity"],
-    )
     return OrbitalSet(
-        basis=basis,
+        basis=SplineBasis(arrays["breakpoints"], order=meta["order"]),
         beta=meta["beta"],
         gamma=meta["gamma"],
         z_charge=meta["z_charge"],

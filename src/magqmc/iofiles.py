@@ -7,8 +7,9 @@ when given an expected one.
 Every binary artifact (kernel table, orbital file, checkpoint) goes
 through one codec, :func:`write_artifact` / :func:`read_artifact`: an
 ``.npz`` holding a JSON ``meta`` entry (its ``format`` first), the named
-arrays, and a sha256 ``checksum`` over all of them. The file is written to
-``<path>.tmp`` and renamed into place, and a failed write removes the
+arrays, and a sha256 ``checksum`` over all of them. Binary artifacts, the
+summary and the manifest are written by :func:`write_atomic`: to
+``<path>.tmp``, then renamed into place, and a failed write removes the
 ``.tmp``, so a kill at any point leaves the previous file intact. Reading
 checks the format, the checksum and an optional hash guard; a missing,
 truncated, corrupted, outdated or mismatched file raises
@@ -71,18 +72,25 @@ def checksum(entries: dict[str, np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def write_artifact(path, fmt: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Atomically write ``arrays`` and ``meta`` (JSON) as a checksummed npz."""
-    entries = {"meta": np.array(json.dumps({"format": fmt, **meta})), **arrays}
-    entries["checksum"] = np.array(checksum(entries))
+def write_atomic(path, write) -> None:
+    """Create ``path`` by ``write(fh)`` into ``<path>.tmp`` (binary) and a
+    rename, so a kill at any point leaves the previous file intact; a failed
+    write or rename removes the ``.tmp``."""
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, **entries)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_artifact(path, fmt: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Atomically write ``arrays`` and ``meta`` (JSON) as a checksummed npz."""
+    entries = {"meta": np.array(json.dumps({"format": fmt, **meta})), **arrays}
+    entries["checksum"] = np.array(checksum(entries))
+    write_atomic(path, lambda fh: np.savez(fh, **entries))
 
 
 def read_artifact(path, fmt: str, expect: dict | None = None) -> tuple[dict, dict]:
@@ -249,7 +257,8 @@ def write_summary(path, config_hash: str, fields: dict) -> None:
     lines = [f"# {SUMMARY_FORMAT} config={config_hash}"]
     for key, val in fields.items():
         lines.append(f"{key} = {val!r}" if isinstance(val, float) else f"{key} = {val}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    write_atomic(path, lambda fh: fh.write(text.encode()))
 
 
 def read_summary(path, expect_config_hash: str | None = None) -> dict:
@@ -262,4 +271,5 @@ def read_summary(path, expect_config_hash: str | None = None) -> dict:
 
 
 def write_manifest(path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, lambda fh: fh.write(text.encode()))

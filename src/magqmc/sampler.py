@@ -6,13 +6,13 @@ drift-diffusion proposal per walker per step,
     R' = R + drift(R) dtau + xi,   xi ~ N(0, dtau) per coordinate,
 
 accepted with the Metropolis-Hastings ratio for |Psi_G|^2 including the
-asymmetric-proposal (Green's function) correction. The same kernel serves
-variational sampling (weights pinned at 1) and the diffusion stages.
+asymmetric-proposal (Green's function) correction. The same step serves
+every stage of :func:`magqmc.dqmc.run_stage`: the variational stage takes
+it as it is (weights stay 1), the diffusion stages through ``fp_step``.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import SamplingError
 from .guiding import GuidingEval, GuidingFunction
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -58,29 +56,6 @@ class BlockStats:
     excluded: bool = False    # dropped from averages (lost released-phase signal)
 
 
-def _take_eval(ev: GuidingEval, idx) -> GuidingEval:
-    return GuidingEval(
-        log_abs=ev.log_abs[idx],
-        phase=ev.phase[idx],
-        drift=ev.drift[idx],
-        phase_grad=ev.phase_grad[idx],
-        e_loc=ev.e_loc[idx],
-        ok=ev.ok[idx],
-    )
-
-
-def _merge_eval(accept: np.ndarray, new: GuidingEval, old: GuidingEval) -> GuidingEval:
-    a1 = accept[:, None, None]
-    return GuidingEval(
-        log_abs=np.where(accept, new.log_abs, old.log_abs),
-        phase=np.where(accept, new.phase, old.phase),
-        drift=np.where(a1, new.drift, old.drift),
-        phase_grad=np.where(a1, new.phase_grad, old.phase_grad),
-        e_loc=np.where(accept, new.e_loc, old.e_loc),
-        ok=np.where(accept, new.ok, old.ok),
-    )
-
-
 def metropolis_step(
     pop: WalkerPopulation, guiding: GuidingFunction, dtau: float, rng: np.random.Generator
 ) -> tuple[WalkerPopulation, int]:
@@ -98,12 +73,11 @@ def metropolis_step(
     log_ratio = np.where(ev_new.ok, log_ratio, -np.inf)
     accept = np.log(rng.random(w)) < log_ratio
 
-    merged = _merge_eval(accept, ev_new, pop.ev)
     new_pop = replace(
         pop,
         r=np.where(accept[:, None, None], r_new, pop.r),
         age=np.where(accept, 0, pop.age + 1),
-        ev=merged,
+        ev=ev_new.where(accept, pop.ev),
     )
     return new_pop, int(np.count_nonzero(accept))
 
@@ -175,22 +149,3 @@ def init_walkers(
         pop, _ = metropolis_step(pop, guiding, dtau_pre, rng)
     return pop
 
-
-def vqmc_block(
-    pop: WalkerPopulation,
-    guiding: GuidingFunction,
-    steps: int,
-    dtau: float,
-    rng: np.random.Generator,
-) -> tuple[WalkerPopulation, float, float]:
-    """One variational block; returns (population, block energy, acceptance)."""
-    e_sum = 0.0
-    n_samp = 0
-    n_acc = 0
-    for _ in range(steps):
-        pop, acc = metropolis_step(pop, guiding, dtau, rng)
-        n_acc += acc
-        e_sum += float(np.sum(np.real(pop.ev.e_loc)))
-        n_samp += pop.size
-    acceptance = n_acc / (steps * pop.size)
-    return pop, e_sum / n_samp, acceptance

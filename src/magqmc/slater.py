@@ -27,7 +27,7 @@ of propagating non-finite values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Protocol
 
 import numpy as np
@@ -57,6 +57,12 @@ class SlaterEval:
     grad: np.ndarray         # (W, N, 3) complex: rows of grad log det
     lap: np.ndarray          # (W, N) complex: (del_i^2 det)/det
     ok: np.ndarray           # (W,) bool: False on or numerically under a node
+
+
+def take_fields(batch, idx):
+    """The dataclass ``batch`` of per-configuration arrays with every field
+    indexed by ``idx``: an index array, or 0 for a lone configuration."""
+    return type(batch)(*(getattr(batch, f.name)[idx] for f in fields(batch)))
 
 
 def _trace_rows(x: np.ndarray, ainv: np.ndarray) -> np.ndarray:
@@ -102,13 +108,5 @@ def slater_eval(orbitals: GuidingOrbitals, r_elec: np.ndarray) -> SlaterEval:
         + _trace_rows(pf2, ainv)
     )
 
-    out = SlaterEval(
-        log_abs=log_abs,
-        phase=np.angle(sign),
-        grad=grad,
-        lap=lap,
-        ok=ok,
-    )
-    if squeeze:
-        return SlaterEval(out.log_abs[0], out.phase[0], out.grad[0], out.lap[0], out.ok[0])
-    return out
+    out = SlaterEval(log_abs=log_abs, phase=np.angle(sign), grad=grad, lap=lap, ok=ok)
+    return take_fields(out, 0) if squeeze else out

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from magqmc import dqmc
 from magqmc.config import StageSpec, parse_config_text
 from magqmc.dqmc import (
     PopulationControl,
@@ -17,7 +18,7 @@ from magqmc.hf import scf
 from magqmc.kernels import build_kernel_table
 from magqmc.oracles import separable_test_hamiltonian
 from magqmc.pipeline import guiding_for, kernel_grid_for
-from magqmc.sampler import BlockStats, WalkerPopulation, init_walkers
+from magqmc.sampler import BlockStats, WalkerPopulation, init_walkers, metropolis_step
 
 
 @pytest.fixture
@@ -102,7 +103,7 @@ def test_fp_step_exact_guiding_uniform_weights(exact_case, exact_guiding):
     rng = np.random.default_rng(6)
     pop = make_pop(exact_guiding, 60)
     e_t = exact_case.exact_energy - 0.7
-    stepped = fp_step(pop, exact_guiding, 1e-3, e_t, rng)
+    stepped, _, _ = fp_step(pop, exact_guiding, 1e-3, e_t, rng)
     expect = math.exp(-1e-3 * 0.7)
     assert np.allclose(stepped.weight, expect, rtol=1e-12)
 
@@ -110,7 +111,7 @@ def test_fp_step_exact_guiding_uniform_weights(exact_case, exact_guiding):
 def test_fp_weight_neutral_at_mean_energy(exact_case, exact_guiding):
     rng = np.random.default_rng(7)
     pop = make_pop(exact_guiding, 60)
-    stepped = fp_step(pop, exact_guiding, 1e-3, exact_case.exact_energy, rng)
+    stepped, _, _ = fp_step(pop, exact_guiding, 1e-3, exact_case.exact_energy, rng)
     assert np.allclose(stepped.weight, 1.0, rtol=1e-12)
 
 
@@ -167,13 +168,53 @@ def test_diffusion_stage_needs_population_control(exact_guiding):
 def test_weight_clamp_diagnostics(exact_case, exact_guiding):
     rng = np.random.default_rng(12)
     pop = make_pop(exact_guiding, 20)
-    from magqmc.dqmc import StepDiagnostics
-
-    diag = StepDiagnostics()
     # absurd offset forces every weight over the clamp in one step
-    stepped = fp_step(pop, exact_guiding, 1.0, exact_case.exact_energy + 1e4, rng, diag=diag)
-    assert diag.clamped == 20
+    stepped, _, clamped = fp_step(pop, exact_guiding, 1.0, exact_case.exact_energy + 1e4, rng)
+    assert clamped == 20
     assert np.all(stepped.weight == 1e12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stage_weight_clamps_sum_fp_step_counts(exact_case, exact_guiding, monkeypatch):
+    # an offset far below the energy drives every weight under the clamp
+    counts = []
+
+    def counted(*args, **kwargs):
+        out = fp_step(*args, **kwargs)
+        counts.append(out[2])
+        return out
+
+    monkeypatch.setattr(dqmc, "fp_step", counted)
+    rng = np.random.default_rng(12)
+    pop = make_pop(exact_guiding, 20)
+    ctrl = PopulationControl(e_trial=exact_case.exact_energy - 1e4, target=20, tau_block=3.0)
+    _, res = run_stage(pop, exact_guiding, StageSpec("fpdqmc", 1, 3, 0), 1.0, rng, control=ctrl)
+    assert len(counts) == 3 and counts[0] == 20
+    assert res.weight_clamps == sum(counts)
+
+
+def test_vqmc_stage_matches_metropolis_steps():
+    # the block energy sum w Re E_L / sum w at w = 1 is the plain sample mean
+    case = separable_test_hamiltonian(gamma=8.0, omega=2.0, n_electrons=1,
+                                      amplitude_jitter=0.02)
+    gf = GuidingFunction(case.orbitals, case.hamiltonian())
+    spec = StageSpec("vqmc", 4, 7, 1)
+    rng = np.random.default_rng(21)
+    _, res = run_stage(init_walkers(gf, 30, rng), gf, spec, 0.05, rng)
+
+    rng = np.random.default_rng(21)
+    pop = init_walkers(gf, 30, rng)
+    want = []
+    for _ in range(spec.n_blocks):
+        e_sum, n_acc = 0.0, 0
+        for _ in range(spec.steps_per_block):
+            pop, acc = metropolis_step(pop, gf, 0.05, rng)
+            n_acc += acc
+            e_sum += float(np.sum(np.real(pop.ev.e_loc)))
+        n = spec.steps_per_block * pop.size
+        want.append((e_sum / n, n_acc / n))
+    assert [(s.e_block, s.acceptance) for s in res.stats] == want
+    assert len(set(want)) == len(want)
 
 
 def test_closed_loop_population_control():

@@ -7,6 +7,7 @@ from scipy.linalg import eigh
 from magqmc.bsplines import SplineBasis, graded_breakpoints
 from magqmc.config import Occupation, parse_config_text, with_overrides
 from magqmc.hf import (
+    ORBITAL_FORMAT,
     BasisError,
     MeanFieldWorkspace,
     SCFError,
@@ -18,6 +19,7 @@ from magqmc.hf import (
     hf_total_energy,
     solve_channel,
 )
+from magqmc.iofiles import read_artifact, write_artifact
 from magqmc.kernels import build_kernel_table
 from magqmc.oracles import grid_eigensolve, nuclear_kernel_m0_closed
 from magqmc.pipeline import kernel_grid_for
@@ -173,7 +175,8 @@ def test_energy_parts_signs(he_orbitals):
 def test_self_pairing_cancels_exactly(hydrogen_cfg, hydrogen_kernels):
     orb = scf(hydrogen_cfg, hydrogen_kernels)
     ws = MeanFieldWorkspace(orb.basis, hydrogen_kernels, orb.occupations)
-    parts = ws.energy(orb.coeffs, *ws.mean_field(orb.coeffs))
+    f_quad = orb.coeffs @ orb.basis.bq.T
+    parts = ws.energy(orb.coeffs, f_quad, *ws.mean_field(f_quad))
     scale = abs(parts["direct"]) + 1e-30
     assert abs(parts["direct"] - parts["exchange"]) < 1e-12 * scale
 
@@ -213,7 +216,7 @@ def test_scf_fixed_point(he_cfg, he_kernels, he_orbitals):
     # one more SCF iteration from the converged orbitals must not move E
     ws = MeanFieldWorkspace(he_orbitals.basis, he_kernels, he_orbitals.occupations)
     basis = he_orbitals.basis
-    udir, kx = ws.mean_field(he_orbitals.coeffs)
+    udir, kx = ws.mean_field(he_orbitals.coeffs @ basis.bq.T)
     t_mat, s_mat = basis.kinetic(), basis.overlap()
     coeffs = np.zeros_like(he_orbitals.coeffs)
     for k, occ in enumerate(he_orbitals.occupations):
@@ -225,7 +228,8 @@ def test_scf_fixed_point(he_cfg, he_kernels, he_orbitals):
         )
         _, v = solve_channel(basis, h, s_mat, 1)
         coeffs[k] = v[:, 0]
-    parts = ws.energy(coeffs, *ws.mean_field(coeffs))
+    f_quad = coeffs @ basis.bq.T
+    parts = ws.energy(coeffs, f_quad, *ws.mean_field(f_quad))
     assert abs(parts["longitudinal"] - he_orbitals.e_total) < 1e-9
 
 
@@ -257,7 +261,7 @@ def test_mean_field_against_grid_reference(repeated_channel, he_kernels):
     dz = np.abs(zq[:, None] - zq[None, :])
     f = coeffs @ basis.bq.T
     wb = basis.bq * wq[:, None]
-    udir, kx = ws.mean_field(coeffs)
+    udir, kx = ws.mean_field(f)
     assert sorted(udir) == sorted(kx) == [0, 1]
     for m in (0, 1):
         u_ref = sum(he_kernels.direct(m, o.m, dz) @ (wq * f[k] ** 2)
@@ -275,7 +279,7 @@ def test_mean_field_against_grid_reference(repeated_channel, he_kernels):
             e_dir += 0.5 * da @ he_kernels.direct(oa.m, ob.m, dz) @ db
             ov = wq * f[a] * f[b]
             e_exc += 0.5 * ov @ he_kernels.exchange(oa.m, ob.m, dz) @ ov
-    parts = ws.energy(coeffs, udir, kx)
+    parts = ws.energy(coeffs, f, udir, kx)
     assert parts["direct"] == pytest.approx(e_dir, rel=1e-12)
     assert parts["exchange"] == pytest.approx(e_exc, rel=1e-12)
 
@@ -409,6 +413,19 @@ def test_orbital_file_round_trip(tmp_path, he_orbitals):
     assert np.allclose(loaded.longitudinal(z)[0], he_orbitals.longitudinal(z)[0])
     with pytest.raises(ValueError, match="hash"):
         load_orbitals(path, expect_physics_hash="different")
+
+
+def test_orbital_file_with_retired_basis_keys_loads(tmp_path, he_orbitals):
+    # files from before the quadrature order and the knot multiplicity at
+    # z = 0 became constants store them in the meta; they are ignored
+    path = tmp_path / "orb.npz"
+    save_orbitals(path, he_orbitals)
+    meta, arrays = read_artifact(path, ORBITAL_FORMAT)
+    write_artifact(path, ORBITAL_FORMAT,
+                   {**meta, "quad_points": 10, "center_multiplicity": 3}, arrays)
+    basis = load_orbitals(path).basis
+    assert np.array_equal(basis.knots, he_orbitals.basis.knots)
+    assert np.array_equal(basis.zq, he_orbitals.basis.zq)
 
 
 def test_interrupted_orbital_save_keeps_previous_file(tmp_path, he_orbitals, monkeypatch):

@@ -7,11 +7,14 @@ import pytest
 
 from magqmc.bsplines import SplineBasis, graded_breakpoints
 from magqmc.config import Occupation
+from magqmc import iofiles
 from magqmc.hf import OrbitalSet, load_orbitals, save_orbitals
 from magqmc.iofiles import (
     ArtifactError,
     load_checkpoint,
     save_checkpoint,
+    write_manifest,
+    write_summary,
 )
 from magqmc.kernels import KernelTable
 from magqmc.sampler import WalkerPopulation
@@ -93,3 +96,23 @@ def test_old_checkpoint_format_is_refused(tmp_path):
                  r=np.zeros((1, 1, 3)))
     with pytest.raises(ArtifactError, match="magqmc-checkpoint/2"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, e: write_summary(path, "abc", {"energy": e}),
+    lambda path, e: write_manifest(path, {"energy": e}),
+], ids=["summary", "manifest"])
+def test_failed_text_write_keeps_previous_file(tmp_path, monkeypatch, write):
+    # a write cut before its rename leaves the old file whole and no .tmp
+    path = tmp_path / "out.txt"
+    write(path, -1.5)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(iofiles.os, "replace", fail)
+    with pytest.raises(OSError, match="killed"):
+        write(path, -2.5)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

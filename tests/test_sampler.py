@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from magqmc.config import StageSpec
+from magqmc.dqmc import run_stage
 from magqmc.guiding import GuidingFunction
 from magqmc.oracles import separable_test_hamiltonian
-from magqmc.sampler import init_walkers, metropolis_step, vqmc_block
+from magqmc.sampler import init_walkers, metropolis_step
+
+
+def vqmc_blocks(pop, guiding, n_blocks, steps, dtau, rng, on_block=None):
+    """A variational stage of ``n_blocks`` blocks: (population, block rows)."""
+    pop, res = run_stage(pop, guiding, StageSpec("vqmc", n_blocks, steps, 0), dtau, rng,
+                         on_block=on_block)
+    return pop, res.stats
 
 
 @pytest.fixture
@@ -77,11 +86,13 @@ def test_stationarity_no_drift_in_summary_statistics():
     rng = np.random.default_rng(5)
     pop = init_walkers(gf, 300, rng, pre_steps=400)
     blocks = {"rho2": [], "z2": [], "e": []}
-    for _ in range(100):
-        pop, e_block, _ = vqmc_block(pop, gf, 10, 0.08, rng)
+
+    def record(pop, row, _):
         blocks["rho2"].append(np.mean(pop.r[:, :, 0] ** 2 + pop.r[:, :, 1] ** 2))
         blocks["z2"].append(np.mean(pop.r[:, :, 2] ** 2))
-        blocks["e"].append(e_block)
+        blocks["e"].append(row.e_block)
+
+    vqmc_blocks(pop, gf, 100, 10, 0.08, rng, on_block=record)
     x = np.arange(100.0)
     for name, series in blocks.items():
         res = stats.linregress(x, np.asarray(series))
@@ -91,11 +102,10 @@ def test_stationarity_no_drift_in_summary_statistics():
 def test_zero_variance_blocks(exact_case, exact_guiding):
     rng = np.random.default_rng(6)
     pop = init_walkers(exact_guiding, 80, rng)
-    energies = []
-    for _ in range(4):
-        pop, e_block, acc = vqmc_block(pop, exact_guiding, 25, 0.05, rng)
-        energies.append(e_block)
-        assert 0 < acc <= 1
+    _, rows = vqmc_blocks(pop, exact_guiding, 4, 25, 0.05, rng)
+    energies = [row.e_block for row in rows]
+    for row in rows:
+        assert 0 < row.acceptance <= 1
     assert np.var(energies) < 1e-12
     assert np.max(np.abs(np.asarray(energies) - exact_case.exact_energy)) < 1e-8
 
@@ -104,11 +114,8 @@ def test_reproducible_block_stream(exact_guiding):
     def stream(seed):
         rng = np.random.default_rng(seed)
         pop = init_walkers(exact_guiding, 50, rng)
-        out = []
-        for _ in range(5):
-            pop, e, acc = vqmc_block(pop, exact_guiding, 10, 0.05, rng)
-            out.append((e, acc))
-        return out
+        _, rows = vqmc_blocks(pop, exact_guiding, 5, 10, 0.05, rng)
+        return [(row.e_block, row.acceptance) for row in rows]
 
     assert stream(42) == stream(42)
     assert stream(42) != stream(43)
@@ -117,6 +124,6 @@ def test_reproducible_block_stream(exact_guiding):
 def test_weights_remain_unity_in_variational_blocks(exact_guiding):
     rng = np.random.default_rng(8)
     pop = init_walkers(exact_guiding, 30, rng)
-    pop, _, _ = vqmc_block(pop, exact_guiding, 20, 0.05, rng)
+    pop, _ = vqmc_blocks(pop, exact_guiding, 1, 20, 0.05, rng)
     assert np.all(pop.weight == 1.0)
     assert np.all(pop.age >= 0)
