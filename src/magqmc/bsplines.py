@@ -268,7 +268,6 @@ class SplineBasis:
     wq: np.ndarray = field(init=False)
     bq: np.ndarray = field(init=False)   # (nq, n_funcs) values at quadrature nodes
     bq1: np.ndarray = field(init=False)  # first derivatives
-    bq2: np.ndarray = field(init=False)  # second derivatives
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -296,7 +295,6 @@ class SplineBasis:
         self.wq = np.concatenate(wq)
         self.bq = self.design_matrix(self.zq, 0)
         self.bq1 = self.design_matrix(self.zq, 1)
-        self.bq2 = self.design_matrix(self.zq, 2)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -3,16 +3,18 @@
 A config file is plain text, one ``key = value`` per line, ``#`` comments.
 Exactly one of ``b_tesla`` / ``beta`` sets the field. Occupations are
 ``m:nu_z`` pairs; the schedule is ``stage:blocks x steps[:equilibration]``
-entries, each stage at most once. The keys, their defaults and their
-checks are defined by ``parse_config_text`` (through ``config_from_mapping``
-and ``RunConfig.validate``); ``render_config`` writes a configuration back
-in this format, and its output parses to the same configuration.
+entries, each stage at most once. The fields of ``RunConfig`` are the one
+list of keys and defaults: ``parse_config_text`` reads and
+``render_config`` writes each field by the rule of its type, and
+``RunConfig.validate`` checks the values. A rendered config parses back
+to the same configuration.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import InputError
@@ -86,28 +88,31 @@ class StageSpec:
         return float(self.n_blocks * self.steps_per_block)
 
 
-def default_schedule() -> list[StageSpec]:
-    return [
-        StageSpec("vqmc", 100, 200, 20),
-        StageSpec("fpdqmc", 300, 200, 60),
-        StageSpec("rpdqmc", 300, 200, 60),
-    ]
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated inputs for one pipeline run. Immutable once built."""
+    """Fully validated inputs for one pipeline run. Immutable once built.
+
+    The fields are the one list of config keys and defaults, in rendered
+    order; a field's type picks its parse and render rule (``_CODECS``) and
+    ``metadata["key"]`` renames its key. ``b_tesla`` can set ``field`` in
+    place of ``beta``; ``n_electrons`` defaults to ``z``, ``occupations`` to
+    the ground filling. ``None`` values are not rendered.
+    """
 
     z: int
     n_electrons: int
-    field: FieldStrength
+    field: FieldStrength = dataclasses.field(metadata={"key": "beta"})
     occupations: tuple[Occupation, ...]
     n_walkers: int = 500
     dtau: float = 1e-4
     dtau_metropolis: float | None = None  # VQMC proposal step; defaults to dtau
-    schedule: tuple[StageSpec, ...] = ()
+    schedule: tuple[StageSpec, ...] = (
+        StageSpec("vqmc", 100, 200, 20),
+        StageSpec("fpdqmc", 300, 200, 60),
+        StageSpec("rpdqmc", 300, 200, 60),
+    )
     seed: int = 1
-    spin_zeeman_included: bool = True
+    spin_zeeman_included: bool = dataclasses.field(default=True, metadata={"key": "spin_zeeman"})
     allow_anion: bool = False
     outdir: str = "runs/out"
     checkpoint_every: int = 25  # blocks; 0 disables
@@ -174,13 +179,12 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # config file parsing / rendering
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-_KEYS = (
-    "z n_electrons b_tesla beta occupations n_walkers dtau dtau_metropolis "
-    "schedule seed spin_zeeman allow_anion outdir checkpoint_every "
-    "hf_elements hf_order hf_zmax"
-).split()
+def _parse_bool(text: str) -> bool:
+    try:
+        return {"true": True, "false": False, "1": True, "0": False,
+                "yes": True, "no": False}[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected boolean, got '{text}'")
 
 
 def _parse_occupations(text: str) -> tuple[Occupation, ...]:
@@ -213,6 +217,23 @@ def _parse_schedule(text: str) -> tuple[StageSpec, ...]:
     return tuple(out)
 
 
+#: RunConfig field annotation -> (parse, render) of its config value.
+_CODECS = {
+    "int": (int, str),
+    "float": (float, repr),
+    "float | None": (float, repr),
+    "bool": (_parse_bool, lambda b: "true" if b else "false"),
+    "str": (str, str),
+    "tuple[Occupation, ...]": (_parse_occupations, lambda occ: " ".join(f"{m}:{nu}" for m, nu in occ)),
+    "tuple[StageSpec, ...]": (_parse_schedule, lambda sched: " ".join(map(str, sched))),
+    "FieldStrength": (float, lambda fld: repr(fld.beta)),
+}
+
+
+def _key(f: dataclasses.Field) -> str:
+    return f.metadata.get("key", f.name)
+
+
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse key-value config text (plus overrides) into a validated RunConfig."""
     kv: dict[str, str] = {}
@@ -226,10 +247,9 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Run
             violations.append(f"line {lineno}: expected 'key = value', got '{raw.strip()}'")
             continue
         kv[key.strip().lower()] = val.strip()
-    if overrides:
-        for k, val in overrides.items():
-            kv[k.strip().lower()] = str(val)
-    unknown = sorted(set(kv) - set(_KEYS))
+    for k, val in (overrides or {}).items():
+        kv[k.strip().lower()] = str(val)
+    unknown = sorted(set(kv) - {_key(f) for f in dataclasses.fields(RunConfig)} - {"b_tesla"})
     if unknown:
         violations.append(f"unknown keys: {', '.join(unknown)}")
     if violations:
@@ -238,105 +258,52 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Run
 
 
 def config_from_mapping(kv: dict[str, str]) -> RunConfig:
+    """RunConfig from key -> value text; a missing or empty value means the
+    default, but an empty ``str`` value (``outdir =``) stays empty."""
     violations = []
 
-    def want(key, conv, default=None):
-        if key not in kv or kv[key] == "":
+    def want(key, parse, default=None):
+        if key not in kv or (kv[key] == "" and parse is not str):
             return default
         try:
-            return conv(kv[key])
+            return parse(kv[key])
         except ValueError as exc:
             violations.append(f"{key}: {exc}")
             return default
 
-    def as_bool(s):
-        try:
-            return _BOOL[s.strip().lower()]
-        except KeyError:
-            raise ValueError(f"expected boolean, got '{s}'")
-
+    # keys that set another field or whose default depends on other keys
     z = want("z", int, 0)
     n_el = want("n_electrons", int, z)
     if "beta" in kv and "b_tesla" in kv:
         violations.append("give exactly one of beta / b_tesla, not both")
-    fld = None
-    if "beta" in kv:
-        b = want("beta", float)
-        if b is not None:
-            try:
-                fld = FieldStrength(beta=b)
-            except ValueError as exc:
-                violations.append(str(exc))
-    elif "b_tesla" in kv:
-        b = want("b_tesla", float)
-        if b is not None:
-            try:
-                fld = beta_from_tesla(b)
-            except ValueError as exc:
-                violations.append(str(exc))
-    else:
+    fld, key = None, next((k for k in ("beta", "b_tesla") if k in kv), None)
+    if key is None:
         violations.append("config must set beta or b_tesla")
-
+    elif (b := want(key, float)) is not None:
+        try:
+            fld = FieldStrength(beta=b) if key == "beta" else beta_from_tesla(b)
+        except ValueError as exc:
+            violations.append(str(exc))
     occ = want("occupations", _parse_occupations)
     if occ is None and n_el:
         occ = tuple(default_ground_occupations(n_el))
-    sched = want("schedule", _parse_schedule)
-    if sched is None:
-        sched = tuple(default_schedule())
-
+    values = dict(z=z, n_electrons=n_el, field=fld, occupations=occ or (),
+                  schedule=want("schedule", _parse_schedule, RunConfig.schedule))
     if violations:
         raise ConfigError(violations)
 
-    cfg = RunConfig(
-        z=z,
-        n_electrons=n_el,
-        field=fld,
-        occupations=occ or (),
-        n_walkers=want("n_walkers", int, 500),
-        dtau=want("dtau", float, 1e-4),
-        dtau_metropolis=want("dtau_metropolis", float, None),
-        schedule=sched,
-        seed=want("seed", int, 1),
-        spin_zeeman_included=want("spin_zeeman", as_bool, True),
-        allow_anion=want("allow_anion", as_bool, False),
-        outdir=kv.get("outdir", "runs/out"),
-        checkpoint_every=want("checkpoint_every", int, 25),
-        hf_elements=want("hf_elements", int, 24),
-        hf_order=want("hf_order", int, 6),
-        hf_zmax=want("hf_zmax", float, None),
-    )
+    for f in dataclasses.fields(RunConfig):
+        if f.name not in values:
+            values[f.name] = want(_key(f), _CODECS[f.type][0], f.default)
     if violations:
         raise ConfigError(violations)
-    return cfg.validate()
+    return RunConfig(**values).validate()
 
 
 def render_config(cfg: RunConfig) -> str:
     """Canonical text form; parsing it back reproduces the config exactly."""
-    occ = " ".join(f"{o.m}:{o.nu_z}" for o in cfg.occupations)
-    sched = " ".join(map(str, cfg.schedule))
-    lines = [
-        f"z = {cfg.z}",
-        f"n_electrons = {cfg.n_electrons}",
-        f"beta = {cfg.field.beta!r}",
-        f"occupations = {occ}",
-        f"n_walkers = {cfg.n_walkers}",
-        f"dtau = {cfg.dtau!r}",
-    ]
-    if cfg.dtau_metropolis is not None:
-        lines.append(f"dtau_metropolis = {cfg.dtau_metropolis!r}")
-    lines += [
-        f"schedule = {sched}",
-        f"seed = {cfg.seed}",
-        f"spin_zeeman = {'true' if cfg.spin_zeeman_included else 'false'}",
-        f"allow_anion = {'true' if cfg.allow_anion else 'false'}",
-        f"outdir = {cfg.outdir}",
-        f"checkpoint_every = {cfg.checkpoint_every}",
-        f"hf_elements = {cfg.hf_elements}",
-        f"hf_order = {cfg.hf_order}",
-    ]
-    if cfg.hf_zmax is not None:
-        lines.append(f"hf_zmax = {cfg.hf_zmax!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{_key(f)} = {_CODECS[f.type][1](value)}\n" for f in dataclasses.fields(cfg)
+                   if (value := getattr(cfg, f.name)) is not None)
 
 
 #: Fields that say where and how often a run writes, not what it computes.

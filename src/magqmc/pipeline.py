@@ -54,24 +54,35 @@ def kernel_grid_for(cfg: RunConfig) -> GridSpec:
     return GridSpec(span=2.04 * cfg.hf_domain)
 
 
+def _load_or_build(path: Path, force: bool, load, build, save, hit: str, unusable: str):
+    """Load ``path`` unless ``force``; if it is missing or fails to load (the
+    ``unusable`` warning), build, save and return it. Returns (object, path,
+    cache_hit)."""
+    if path.exists() and not force:
+        try:
+            obj = load(path)
+            logger.info(hit, path)
+            return obj, path, True
+        except ArtifactError as exc:
+            logger.warning(unusable, path, exc)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    obj = build()
+    save(path, obj)
+    return obj, path, False
+
+
 def ensure_kernels(cfg: RunConfig, force: bool = False) -> tuple[KernelTable, Path, bool]:
     """Build or reuse the cached kernel table; returns (table, path, cache_hit)."""
     grid = kernel_grid_for(cfg)
     gamma = cfg.field.gamma
     ms = sorted(set(o.m for o in cfg.occupations))
-    cache = kernel_cache_dir(cfg)
-    cache.mkdir(parents=True, exist_ok=True)
-    path = cache / f"kernels_{cache_key(gamma, float(cfg.z), ms, grid)}.npz"
-    if path.exists() and not force:
-        try:
-            table = KernelTable.load(path)
-            logger.info("kernel cache hit: %s", path)
-            return table, path, True
-        except ArtifactError as exc:
-            logger.warning("kernel cache %s unusable (%s); rebuilding", path, exc)
-    table = build_kernel_table(cfg.field.beta, gamma, float(cfg.z), ms, grid)
-    table.save(path)
-    return table, path, False
+    path = kernel_cache_dir(cfg) / f"kernels_{cache_key(gamma, float(cfg.z), ms, grid)}.npz"
+    return _load_or_build(
+        path, force, KernelTable.load,
+        lambda: build_kernel_table(cfg.field.beta, gamma, float(cfg.z), ms, grid),
+        lambda p, table: table.save(p),
+        "kernel cache hit: %s", "kernel cache %s unusable (%s); rebuilding",
+    )
 
 
 def orbital_path(cfg: RunConfig) -> Path:
@@ -81,18 +92,16 @@ def orbital_path(cfg: RunConfig) -> Path:
 def ensure_orbitals(
     cfg: RunConfig, kernels: KernelTable, force: bool = False
 ) -> tuple[OrbitalSet, Path, bool]:
-    path = orbital_path(cfg)
-    if path.exists() and not force:
-        try:
-            orbs = load_orbitals(path, expect_physics_hash=physics_hash(cfg))
-            logger.info("orbital cache hit: %s", path)
-            return orbs, path, True
-        except ArtifactError as exc:
-            logger.warning("orbital file %s unusable (%s); re-running SCF", path, exc)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    orbs = scf(cfg, kernels, basis_for_config(cfg))
-    save_orbitals(path, orbs, physics_hash=physics_hash(cfg), config_hash=config_hash(cfg))
-    return orbs, path, False
+    """Reuse the orbital file of this physics hash or run the SCF; returns
+    (orbitals, path, cache_hit)."""
+    phys = physics_hash(cfg)
+    return _load_or_build(
+        orbital_path(cfg), force,
+        lambda p: load_orbitals(p, expect_physics_hash=phys),
+        lambda: scf(cfg, kernels, basis_for_config(cfg)),
+        lambda p, orbs: save_orbitals(p, orbs, physics_hash=phys, config_hash=config_hash(cfg)),
+        "orbital cache hit: %s", "orbital file %s unusable (%s); re-running SCF",
+    )
 
 
 def guiding_for(cfg: RunConfig, orbitals: OrbitalSet) -> GuidingFunction:

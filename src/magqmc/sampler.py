@@ -85,7 +85,7 @@ def metropolis_step(
 def init_walkers(
     guiding: GuidingFunction,
     n_walkers: int,
-    seed_or_rng,
+    rng: np.random.Generator,
     z_domain: tuple[float, float] | None = None,
     pre_steps: int = 50,
 ) -> WalkerPopulation:
@@ -96,13 +96,8 @@ def init_walkers(
     slot's |f|^2 by inverse CDF on a fine grid over ``z_domain`` (by
     default the orbitals' own). Walkers landing on a node are redrawn, then
     the population is pre-equilibrated with a few Metropolis steps.
-    Deterministic for a given seed.
+    Deterministic for a given generator state.
     """
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
     orbitals = guiding.orbitals
     ms = np.asarray(orbitals.ms)
     n = len(ms)

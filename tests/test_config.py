@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from magqmc.config import (
     ConfigError,
     Occupation,
+    RunConfig,
     config_hash,
     default_ground_occupations,
     parse_config_text,
@@ -122,11 +125,83 @@ def test_iron_figure_schedule_arithmetic():
     assert [s.equilibration_blocks for s in cfg.schedule] == [20, 60, 60]
 
 
+ALL_KEYS_TEXT = """
+z = 3
+n_electrons = 3
+beta = 123.25
+occupations = 0:0 1:1 2:0
+n_walkers = 77
+dtau = 3e-05
+dtau_metropolis = 0.02
+schedule = vqmc:5x7:1 fpdqmc:6x8:2
+seed = 9
+spin_zeeman = false
+allow_anion = true
+outdir = some/where
+checkpoint_every = 0
+hf_elements = 16
+hf_order = 5
+hf_zmax = 17.5
+"""
+
+
 def test_render_parse_round_trip():
     cfg = parse_config_text(HE_TEXT + "occupations = 0:0 1:1\nhf_zmax = 12.5\n")
     again = parse_config_text(render_config(cfg))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
+    # every key away from its default: the rendered text is the canonical
+    # form, which config_hash hashes and every artifact records
+    every = parse_config_text(ALL_KEYS_TEXT)
+    assert render_config(every) == ALL_KEYS_TEXT.lstrip()
+    assert parse_config_text(render_config(every)) == every
+    assert (config_hash(every), physics_hash(every)) == ("9798294be3d344da", "4596417e71703e51")
+
+
+def test_parsed_defaults_are_the_field_defaults():
+    cfg = parse_config_text("z = 2\nbeta = 10\n")
+    for f in dataclasses.fields(RunConfig):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(cfg, f.name) == f.default, f.name
+    assert parse_config_text("z = 2\nbeta = 10\noutdir =\n").outdir == ""
+    assert parse_config_text("z = 2\nbeta = 10\nn_walkers =\n").n_walkers == 500
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n_walkers = 1.5", "n_walkers: invalid literal for int() with base 10: '1.5'"),
+    ("dtau = x", "dtau: could not convert string to float: 'x'"),
+    ("hf_zmax = z", "hf_zmax: could not convert string to float: 'z'"),
+    ("spin_zeeman = maybe", "spin_zeeman: expected boolean, got 'maybe'"),
+    ("occupations = 0:a", "occupations: bad occupation token '0:a' (want m:nu_z)"),
+    ("schedule = vqmc:ax2", "schedule: bad schedule token 'vqmc:ax2'"),
+    ("b_tesla = q", "b_tesla: could not convert string to float: 'q'"),
+    ("b_tesla = -5", "magnetic field must be positive, got -5.0 T"),
+    ("beta = -1", "field strength must be positive, got beta=-1.0"),
+])
+def test_bad_value_message(line, message):
+    field = "" if line.startswith(("beta", "b_tesla")) else "b_tesla = 1.0e8\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("z = 2\n" + field + line + "\n")
+    assert str(err.value) == f"invalid configuration:\n  - {message}"
+
+
+def test_field_and_filling_errors_are_reported_before_the_rest():
+    # z, n_electrons, the field, occupations and schedule are read first;
+    # their errors stop the parse before the other keys are read
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("z = x\nbeta = q\noccupations = 0:b\nschedule = s\nn_walkers = w\n")
+    assert err.value.violations == [
+        "z: invalid literal for int() with base 10: 'x'",
+        "beta: could not convert string to float: 'q'",
+        "occupations: bad occupation token '0:b' (want m:nu_z)",
+        "schedule: bad schedule token 's' (want stage:BLOCKSxSTEPS[:EQ])",
+    ]
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("z = 2\nbeta = 1\nseed = s\nn_walkers = w\n")
+    assert err.value.violations == [
+        "n_walkers: invalid literal for int() with base 10: 'w'",
+        "seed: invalid literal for int() with base 10: 's'",
+    ]
 
 
 def test_hashes_distinguish_and_share():

@@ -32,7 +32,7 @@ def exact_guiding(exact_case):
 
 
 def make_pop(guiding, n, seed=3):
-    return init_walkers(guiding, n, seed)
+    return init_walkers(guiding, n, np.random.default_rng(seed))
 
 
 def with_weights(pop, w):

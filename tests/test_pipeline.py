@@ -207,6 +207,19 @@ def test_orbital_cache_hit(tmp_path):
     assert orb2.e_total == orb1.e_total
 
 
+def test_orbital_file_corruption_reruns_scf(tmp_path, caplog):
+    cfg = tiny_cfg(tmp_path, "orbcorrupt")
+    kernels, _, _ = ensure_kernels(cfg)
+    orb1, path, _ = ensure_orbitals(cfg, kernels)
+    path.write_bytes(path.read_bytes()[:100])
+    with caplog.at_level("WARNING", logger="magqmc.pipeline"):
+        orb2, path2, hit = ensure_orbitals(cfg, kernels)
+    assert not hit and path2 == path
+    assert "unusable" in caplog.text and "re-running SCF" in caplog.text
+    assert orb2.e_total == orb1.e_total
+    assert ensure_orbitals(cfg, kernels)[2]  # the rewritten file loads
+
+
 def test_empty_stage_selection_rejected(tmp_path):
     cfg = tiny_cfg(tmp_path, "empty")
     with pytest.raises(ValueError, match="no stages"):

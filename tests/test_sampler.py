@@ -27,18 +27,18 @@ def exact_guiding(exact_case):
 
 
 def test_init_deterministic_and_node_free(exact_guiding):
-    a = init_walkers(exact_guiding, 64, 123)
-    b = init_walkers(exact_guiding, 64, 123)
+    a = init_walkers(exact_guiding, 64, np.random.default_rng(123))
+    b = init_walkers(exact_guiding, 64, np.random.default_rng(123))
     assert np.array_equal(a.r, b.r)
     assert np.all(a.ev.ok)
     assert np.all(a.weight == 1.0)
-    c = init_walkers(exact_guiding, 64, 124)
+    c = init_walkers(exact_guiding, 64, np.random.default_rng(124))
     assert not np.array_equal(a.r, c.r)
 
 
 def test_initial_transverse_moments(he_guiding):
     # raw draws (no pre-equilibration): <rho^2> per slot tracks 2(m+1)/gamma
-    pop = init_walkers(he_guiding, 100_000, 7, pre_steps=0)
+    pop = init_walkers(he_guiding, 100_000, np.random.default_rng(7), pre_steps=0)
     gamma = he_guiding.orbitals.gamma
     for k, m in enumerate(he_guiding.orbitals.ms):
         rho2 = np.mean(pop.r[:, k, 0] ** 2 + pop.r[:, k, 1] ** 2)
